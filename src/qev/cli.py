@@ -162,7 +162,7 @@ def cmd_slice(args) -> int:
         k_ref = closed_form_reference_constant(params)
         extra = {"k_num": k_num, "k_reference": k_ref, "k_ratio": k_num / k_ref}
     elif pipeline == "oracle":
-        grid = oracle_slice(params, plane, axis_u=n, axis_v=n, rule=gauss_hermite_rule(min(order, 64)), threads=threads)
+        grid = oracle_slice(params, plane, axis_u=n, axis_v=n)
         extra = {}
     else:
         raise UsageError("--pipeline must be closed-form or oracle")

@@ -1,38 +1,43 @@
-"""Ground-truth Wigner engine: the defining integral transform of psi.
+"""Ground-truth Wigner function of the state, independent of the closed form.
 
-The oracle computes
+The oracle's object is the defining transform
 
     W(x, y, p_x, p_y) = (1/pi^2) * integral du dv
         conj(psi)(x+u, y+v) * psi(x-u, y-v) * e^{2i(u p_x + v p_y)}
 
-by Gauss-Hermite quadrature and never touches the closed-form expression,
-so it can adjudicate it.  Two evaluation paths exist:
+and it never touches the paper's closed-form expression, so it can
+adjudicate it.  Two evaluators exist:
 
-* ``wigner_transform`` integrates the oscillatory integrand literally, with
-  a reality-residual check and order escalation at large momenta.  This is
-  the reference implementation of the defining transform.
+* ``wigner_transform`` / ``transform_points`` integrate the oscillatory
+  integrand literally by Gauss-Hermite quadrature, with a reality-residual
+  check and order escalation at large momenta.  This is the arbiter behind
+  ``validate_closed_form``.
 
-* An internal engine evaluates the same node sums after the exact contour
-  shift u -> u + i sigma_x^2 p_x (and the v analogue), under which the
-  oscillatory kernel disappears and the integrand becomes a polynomial in
-  shifted complex coordinates.  The Gauss-Hermite sum is then *exact* for
-  rule order > m, which makes norms, purities, marginals and moments cheap
-  and stable.  Both paths are the same quadrature rule applied to the same
-  integral and agree to roundoff; the test suite pins that.
+* The exact Laguerre-Gauss form.  In scaled coordinates t = x/sigma_x,
+  s = y/sigma_y, q_t = sigma_x p_x, q_s = sigma_y p_y the state is a
+  circular-mode Fock state under local squeezing, so with
+  Q = t^2 + s^2 + q_t^2 + q_s^2
 
-Everything is pure; engines are cached read-mostly keyed by parameters.
+      W = ((-1)^m / pi^2) e^{-Q} L_m(Q + 2 sign (t q_s - s q_t))
+
+  (Simon and Agarwal, Opt. Lett. 25, 1313 (2000)).  Slices use it
+  directly.  Norm, marginal, purity and moments integrate it on matched
+  Gauss-Hermite lattices of the minimal exact order, because each
+  integrand is the Hermite weight times a polynomial of known degree.
+  The test suite pins it against the literal transform.
+
+Everything is pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .numerics import QuadratureRule, gauss_hermite_rule
+from .numerics import QuadratureRule, gauss_hermite_rule, laguerre_general
 from .state import QevParams, _norm_constant_cached, intensity
 from .wigner import PhasePoint, wigner_closed
 
@@ -58,27 +63,15 @@ REALITY_RESIDUAL_MAX = 1e-9
 MOMENTUM_CAP_SIGMA = 4.0  # validated |p| <= 4 / sigma_min
 DEFAULT_ORDER = 64
 ESCALATED_ORDER = 96
+# Largest caller-requested order of the integral lattices: a 16^4 lattice
+# is 0.5 MB per float64 array.  The minimal exact order is never capped.
+LATTICE_ORDER_CAP = 16
 
 
 def escalated_order(params: QevParams, p_x: float, p_y: float, base: int = DEFAULT_ORDER) -> int:
     """Raise the rule order when the oscillation 2*p*sigma exceeds 8."""
     osc = max(abs(2.0 * p_x * params.sigma_x), abs(2.0 * p_y * params.sigma_y))
     return max(ESCALATED_ORDER, base) if osc > 8.0 else base
-
-
-def _vortex_coeffs(params: QevParams) -> np.ndarray:
-    """Binomial coefficients c_k of psi's vortex factor.
-
-    (a x + i s b y)^m = sum_k c_k x^k y^{m-k} with a = 1/(sqrt2 sigma_x),
-    b = 1/(sqrt2 sigma_y).
-    """
-    m = params.m
-    a = 1.0 / (math.sqrt(2.0) * params.sigma_x)
-    b = 1.0 / (math.sqrt(2.0) * params.sigma_y)
-    return np.array(
-        [math.comb(m, k) * a**k * (1j * params.sign * b) ** (m - k) for k in range(m + 1)],
-        dtype=np.complex128,
-    )
 
 
 def wigner_transform(params: QevParams, point: PhasePoint, rule: QuadratureRule | None = None) -> float:
@@ -162,238 +155,43 @@ def transform_points(
 
 
 # ---------------------------------------------------------------------------
-# Exact contour-shifted engine
+# Exact Laguerre-Gauss evaluator
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _engine(params: QevParams, order: int) -> "_OracleEngine":
-    return _OracleEngine(params, order)
+def _polynomial_factor(params: QevParams, t, s, q_t, q_s):
+    """e^{Q} W in scaled coordinates: ((-1)^m / pi^2) L_m(Q + 2 sign (t q_s - s q_t))."""
+    params.require_canonical()
+    q = t * t + s * s + q_t * q_t + q_s * q_s
+    arg = q + 2.0 * params.sign * (t * q_s - s * q_t)
+    return ((-1) ** params.m / math.pi**2) * laguerre_general(params.m, 0.0, arg)
 
 
-class _OracleEngine:
-    """Contour-shifted, rank-factorized evaluation of the defining transform.
-
-    Expanding the vortex factor binomially, psi(x, y) = sum_k c_k x^k
-    y^{m-k} g(x) g(y), turns the 2D transform into products of 1D blocks
-
-        Gx[j, l](x, p) = sigma_x e^{-x^2/sx^2 - sx^2 p^2}
-            * sum_a w_a (x + z_a)^j (x - z_a)^l,   z_a = sx t_a + i sx^2 p,
-
-    which the Hermite rule evaluates exactly (polynomial integrand).  All
-    integrals over phase space then reduce to small tensor contractions of
-    per-axis tables.
-    """
-
-    def __init__(self, params: QevParams, order: int):
-        params.require_canonical()
-        self.params = params
-        self.order = int(order)
-        self.rule = gauss_hermite_rule(self.order)
-        self.coeffs = _vortex_coeffs(params)
-        self.n2 = _norm_constant_cached(params, 64) ** 2
-        self.prefactor = self.n2 / math.pi**2
-
-    # -- point evaluation -------------------------------------------------
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Exact Wigner values for an (N, 4) array of phase points."""
-        pts = np.asarray(points, dtype=np.float64)
-        gx = self._g_block(pts[:, 0], pts[:, 2], self.params.sigma_x)
-        gy = self._g_block(pts[:, 1], pts[:, 3], self.params.sigma_y)
-        m = self.params.m
-        c = self.coeffs
-        total = np.zeros(pts.shape[0], dtype=np.complex128)
-        for kp in range(m + 1):
-            for k in range(m + 1):
-                total += np.conj(c[kp]) * c[k] * gx[kp, k] * gy[m - kp, m - k]
-        out = self.prefactor * total
-        return out.real
-
-    def _g_block(self, coord: np.ndarray, mom: np.ndarray, sigma: float) -> np.ndarray:
-        """Gx[j, l, N] tables for one axis at the given points."""
-        t = self.rule.nodes
-        w = self.rule.weights
-        m = self.params.m
-        z = sigma * t[None, :] + 1j * sigma**2 * mom[:, None]
-        plus = coord[:, None] + z
-        minus = coord[:, None] - z
-        pow_p = _powers(plus, m)
-        pow_m = _powers(minus, m)
-        envelope = sigma * np.exp(-((coord / sigma) ** 2) - (sigma * mom) ** 2)
-        out = np.empty((m + 1, m + 1, coord.size), dtype=np.complex128)
-        for j in range(m + 1):
-            for l in range(m + 1):
-                out[j, l] = envelope * np.sum(w[None, :] * pow_p[j] * pow_m[l], axis=1)
-        return out
-
-    # -- integrals ---------------------------------------------------------
-
-    def _axis_tables(self, sigma: float) -> dict[str, np.ndarray]:
-        """Phase-plane integrals of Gx[j, l] against 1, x, p, x^2, xp, p^2.
-
-        Matched lattice x = sigma s, p = r/sigma (unit jacobian): the
-        integrand is a polynomial in (s, t, r), so the sums are exact.
-        """
-        t = self.rule.nodes
-        w = self.rule.weights
-        m = self.params.m
-        # axes: a (shift node), b (position node), c (momentum node)
-        zs = t[:, None, None] + 1j * t[None, None, :]  # t_a + i r_c, broadcast over b
-        xs = t[None, :, None]
-        plus = sigma * (xs + zs)
-        minus = sigma * (xs - zs)
-        pow_p = _powers(plus, m)
-        pow_m = _powers(minus, m)
-        w3 = w[:, None, None] * w[None, :, None] * w[None, None, :]
-        xval = sigma * xs
-        pval = t[None, None, :] / sigma
-        weights = {
-            "1": w3,
-            "x": w3 * xval,
-            "p": w3 * pval,
-            "xx": w3 * xval**2,
-            "xp": w3 * xval * pval,
-            "pp": w3 * pval**2,
-        }
-        tables = {}
-        for name, wt in weights.items():
-            tab = np.empty((m + 1, m + 1), dtype=np.complex128)
-            for j in range(m + 1):
-                for l in range(m + 1):
-                    tab[j, l] = sigma * np.sum(wt * pow_p[j] * pow_m[l])
-            tables[name] = tab
-        return tables
-
-    @property
-    def tables_x(self) -> dict[str, np.ndarray]:
-        if not hasattr(self, "_tables_x"):
-            self._tables_x = self._axis_tables(self.params.sigma_x)
-        return self._tables_x
-
-    @property
-    def tables_y(self) -> dict[str, np.ndarray]:
-        if not hasattr(self, "_tables_y"):
-            self._tables_y = self._axis_tables(self.params.sigma_y)
-        return self._tables_y
-
-    def _contract(self, name_x: str, name_y: str) -> float:
-        m = self.params.m
-        c = self.coeffs
-        tx = self.tables_x[name_x]
-        ty = self.tables_y[name_y]
-        total = 0.0 + 0.0j
-        for kp in range(m + 1):
-            for k in range(m + 1):
-                total += np.conj(c[kp]) * c[k] * tx[kp, k] * ty[m - kp, m - k]
-        return float((self.prefactor * total).real)
-
-    def norm(self) -> float:
-        return self._contract("1", "1")
-
-    def moment(self, observable: str) -> float:
-        """<observable> with observable one of x, y, p_x, p_y and their
-        quadratic products in the fixed coordinate order."""
-        mapping = {
-            "x": ("x", "1"), "y": ("1", "x"), "p_x": ("p", "1"), "p_y": ("1", "p"),
-            "xx": ("xx", "1"), "yy": ("1", "xx"), "pxpx": ("pp", "1"), "pypy": ("1", "pp"),
-            "xpx": ("xp", "1"), "ypy": ("1", "xp"), "xy": ("x", "x"),
-            "xpy": ("x", "p"), "ypx": ("p", "x"), "pxpy": ("p", "p"),
-        }
-        nx, ny = mapping[observable]
-        return self._contract(nx, ny)
-
-    def marginal(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Momentum-integrated W on the tensor grid of the given coordinates."""
-        mx = self._marginal_blocks(np.asarray(x, float), self.params.sigma_x)
-        my = self._marginal_blocks(np.asarray(y, float), self.params.sigma_y)
-        m = self.params.m
-        c = self.coeffs
-        total = np.zeros((len(x), len(y)), dtype=np.complex128)
-        for kp in range(m + 1):
-            for k in range(m + 1):
-                total += np.conj(c[kp]) * c[k] * np.outer(mx[kp, k], my[m - kp, m - k])
-        return (self.prefactor * total).real
-
-    def _marginal_blocks(self, coord: np.ndarray, sigma: float) -> np.ndarray:
-        """integral dp Gx[j, l](x, p) for each grid coordinate."""
-        t = self.rule.nodes
-        w = self.rule.weights
-        m = self.params.m
-        z = sigma * (t[:, None] + 1j * t[None, :])  # (a, c): shift + momentum node
-        plus = coord[:, None, None] + z[None, :, :]
-        minus = coord[:, None, None] - z[None, :, :]
-        pow_p = _powers(plus, m)
-        pow_m = _powers(minus, m)
-        w2 = w[None, :, None] * w[None, None, :]
-        envelope = np.exp(-((coord / sigma) ** 2))
-        out = np.empty((m + 1, m + 1, coord.size), dtype=np.complex128)
-        for j in range(m + 1):
-            for l in range(m + 1):
-                out[j, l] = envelope * np.sum(w2 * pow_p[j] * pow_m[l], axis=(1, 2))
-        return out
-
-    def purity(self, other: "_OracleEngine | None" = None) -> float:
-        """(2 pi)^2 integral W * W_other over phase space (self when None)."""
-        other = other or self
-        if other.params.sigma_x != self.params.sigma_x or other.params.sigma_y != self.params.sigma_y:
-            raise ConfigError("cross purity requires matching sigma values")
-        jx = self._pair_table(other, self.params.sigma_x, which="x")
-        jy = self._pair_table(other, self.params.sigma_y, which="y")
-        m1, m2 = self.params.m, other.params.m
-        c1, c2 = self.coeffs, other.coeffs
-        total = 0.0 + 0.0j
-        for kp in range(m1 + 1):
-            for k in range(m1 + 1):
-                for lp in range(m2 + 1):
-                    for l in range(m2 + 1):
-                        total += (
-                            np.conj(c1[kp]) * c1[k] * np.conj(c2[lp]) * c2[l]
-                            * jx[kp, k, lp, l] * jy[m1 - kp, m1 - k, m2 - lp, m2 - l]
-                        )
-        return float(((2.0 * math.pi) ** 2 * self.prefactor * other.prefactor * total).real)
-
-    def _pair_table(self, other: "_OracleEngine", sigma: float, which: str) -> np.ndarray:
-        """integral dx dp Gx^{(1)}[j,l] Gx^{(2)}[j',l'] for one axis.
-
-        The product Gaussian has half the width, so the matched lattice is
-        x = sigma s/sqrt2, p = r/(sigma sqrt2) with jacobian 1/2.
-        """
-        t = self.rule.nodes
-        w = self.rule.weights
-        m1, m2 = self.params.m, other.params.m
-        rt2 = math.sqrt(2.0)
-        # R[j, l, b, c] = sum_a w_a (x_b + sigma t_a + i sigma^2 p_c)^j (x_b - ...)^l
-        # on the half-width matched lattice x_b = sigma t_b/sqrt2, p_c = t_c/(sigma sqrt2).
-        xs_b = sigma * t[:, None, None] / rt2
-        ps_c = t[None, :, None] / (sigma * rt2)
-        za = sigma * t[None, None, :] + 1j * sigma**2 * ps_c
-        plus = xs_b + za
-        minus = xs_b - za
-        mmax = max(m1, m2)
-        pow_p = _powers(plus, mmax)
-        pow_m = _powers(minus, mmax)
-        r = np.empty((mmax + 1, mmax + 1, t.size, t.size), dtype=np.complex128)
-        for j in range(mmax + 1):
-            for l in range(mmax + 1):
-                r[j, l] = np.sum(w[None, None, :] * pow_p[j] * pow_m[l], axis=2)
-        w2 = w[:, None] * w[None, :]
-        out = np.empty((m1 + 1, m1 + 1, m2 + 1, m2 + 1), dtype=np.complex128)
-        for j in range(m1 + 1):
-            for l in range(m1 + 1):
-                for jp in range(m2 + 1):
-                    for lp in range(m2 + 1):
-                        out[j, l, jp, lp] = (sigma**2 / 2.0) * np.sum(w2 * r[j, l] * r[jp, lp])
-        return out
+def _exact_wigner(params: QevParams, x, y, p_x, p_y):
+    """Exact W, broadcast over the four coordinates."""
+    t, s = x / params.sigma_x, y / params.sigma_y
+    q_t, q_s = params.sigma_x * p_x, params.sigma_y * p_y
+    return np.exp(-(t * t + s * s + q_t * q_t + q_s * q_s)) * _polynomial_factor(params, t, s, q_t, q_s)
 
 
-def _powers(z: np.ndarray, m: int) -> np.ndarray:
-    """[z^0, z^1, ..., z^m] stacked on the leading axis."""
-    out = np.empty((m + 1,) + z.shape, dtype=np.complex128)
-    out[0] = 1.0
-    for j in range(1, m + 1):
-        out[j] = out[j - 1] * z
-    return out
+def _lattice_order(rule: QuadratureRule | None, minimal: int) -> int:
+    """The minimal exact order, or the caller's rule order when higher,
+    capped at LATTICE_ORDER_CAP."""
+    if rule is None:
+        return minimal
+    return max(minimal, min(rule.order, LATTICE_ORDER_CAP))
+
+
+def _lattice(order: int, dims: int, scale: float = 1.0):
+    """Per-axis nodes (broadcastable) and product weights of a dims-D Hermite lattice."""
+    rule = gauss_hermite_rule(order)
+    nodes, weights = [], 1.0
+    for axis in range(dims):
+        shape = [1] * dims
+        shape[axis] = order
+        nodes.append(scale * rule.nodes.reshape(shape))
+        weights = weights * rule.weights.reshape(shape)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -404,40 +202,45 @@ def _powers(z: np.ndarray, m: int) -> np.ndarray:
 def wigner_norm(params: QevParams, rule: QuadratureRule | None = None, pipeline: str = "oracle") -> float:
     """Phase-space integral of W.
 
-    ``oracle``: integral of the transform of the unit-normalized amplitude
-    (should be 1).  ``closed-form``: integral of the *unnormalized* closed
-    kernel, whose reciprocal is the closed form's numeric constant.
-
-    The integrand is a matched Gaussian times a polynomial, so any order
-    above m + 1 is exact; rule orders beyond 64 are capped (they only cost
-    memory).
+    ``oracle``: integral of the exact W (should be 1).  On the matched
+    lattice x = sigma_x t, p_x = q_t/sigma_x (and the y analogue, unit
+    jacobian) the integrand is the Hermite weight times a polynomial of
+    degree 2m per variable, so order m + 1 is exact.  ``closed-form``:
+    integral of the *unnormalized* closed kernel, whose reciprocal is the
+    closed form's numeric constant; rule orders beyond 64 are capped.
     """
-    order = rule.order if rule is not None else DEFAULT_ORDER
     if pipeline == "oracle":
-        return _engine(params, min(order, 64)).norm()
+        nodes, w4 = _lattice(_lattice_order(rule, params.m + 1), 4)
+        return float(np.sum(w4 * _polynomial_factor(params, *nodes)))
     if pipeline in ("closed-form", "paper-literal"):
         from .wigner import _norm_integral_cached
 
+        order = rule.order if rule is not None else DEFAULT_ORDER
         return _norm_integral_cached(params, min(order, 64))
     raise ConfigError(f"unknown pipeline {pipeline!r}")
 
 
 def wigner_purity(params: QevParams, rule: QuadratureRule | None = None) -> float:
-    """(2 pi)^2 integral W^2; equals 1 for every pure state in this family.
-
-    Exact for rule order > 2m + 1 (polynomial integrand); orders beyond 48
-    are capped, bounding the 4D pair tables.
-    """
-    order = rule.order if rule is not None else DEFAULT_ORDER
-    return _engine(params, min(order, 48)).purity()
+    """(2 pi)^2 integral W^2; equals 1 for every pure state in this family."""
+    return wigner_cross_purity(params, params, rule)
 
 
 def wigner_cross_purity(
     params_a: QevParams, params_b: QevParams, rule: QuadratureRule | None = None
 ) -> float:
-    """(2 pi)^2 integral W_a W_b for two states with identical widths."""
-    order = rule.order if rule is not None else DEFAULT_ORDER
-    return _engine(params_a, min(order, 48)).purity(_engine(params_b, min(order, 48)))
+    """(2 pi)^2 integral W_a W_b for two states with identical widths.
+
+    On the half-width lattice (t, s, q_t, q_s) = tau / sqrt(2) the product
+    Gaussian e^{-2Q} is the Hermite weight (jacobian 1/4) and the
+    polynomial has degree 2(m_a + m_b) per variable, so order
+    m_a + m_b + 1 is exact.
+    """
+    if params_a.sigma_x != params_b.sigma_x or params_a.sigma_y != params_b.sigma_y:
+        raise ConfigError("cross purity requires matching sigma values")
+    order = _lattice_order(rule, params_a.m + params_b.m + 1)
+    nodes, w4 = _lattice(order, 4, scale=1.0 / math.sqrt(2.0))
+    product = _polynomial_factor(params_a, *nodes) * _polynomial_factor(params_b, *nodes)
+    return float(math.pi**2 * np.sum(w4 * product))
 
 
 @dataclass(frozen=True)
@@ -459,7 +262,6 @@ def marginal_check(
     Report-only: the closed-form pipeline may legitimately deviate, and the
     deviation feeds the discrepancy records.
     """
-    order = rule.order if rule is not None else DEFAULT_ORDER
     smax = max(params.sigma_x, params.sigma_y)
     if grid is None:
         grid = (-4.0 * smax, 4.0 * smax, 65)
@@ -470,13 +272,29 @@ def marginal_check(
     y = np.linspace(lo, hi, count)
     target = intensity(params, x[:, None], y[None, :])
     if pipeline == "oracle":
-        marg = _engine(params, min(order, 64)).marginal(x, y)
+        order = _lattice_order(rule, params.m + 1)
+        marg = _oracle_marginal(params, x, y, order)
     elif pipeline in ("closed-form", "paper-literal"):
-        marg = _closed_form_marginal(params, x, y, min(order, 64))
+        order = min(rule.order if rule is not None else DEFAULT_ORDER, 64)
+        marg = _closed_form_marginal(params, x, y, order)
     else:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     dev = float(np.max(np.abs(marg - target)))
     return MarginalReport(pipeline=pipeline, grid_shape=(count, count), max_abs_deviation=dev, rule_order=order)
+
+
+def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """Momentum integral of the exact W on a position grid.
+
+    In q_t = sigma_x p_x, q_s = sigma_y p_y the integrand is the Hermite
+    weight times a polynomial of degree 2m per variable: order m + 1 is exact.
+    """
+    sx, sy = params.sigma_x, params.sigma_y
+    (q_t, q_s), w2 = _lattice(order, 2)
+    t = (x / sx)[:, None]
+    s = (y / sy)[None, :]
+    factor = _polynomial_factor(params, t[..., None, None], s[..., None, None], q_t, q_s)
+    return np.exp(-t * t - s * s) * np.sum(w2 * factor, axis=(2, 3)) / (sx * sy)
 
 
 def _closed_form_marginal(params: QevParams, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
@@ -664,52 +482,39 @@ def oracle_slice(
     plane: str,
     axis_u: tuple[float, float, int] | int | None = None,
     axis_v: tuple[float, float, int] | int | None = None,
-    rule: QuadratureRule | None = None,
-    threads: int = 1,
 ):
-    """Transform-oracle counterpart of ``wigner.wigner_slice``.
-
-    Evaluates the defining-transform W on the same grid/windows so slice
-    structure can be compared across the two pipelines.
-    """
+    """Oracle counterpart of ``wigner.wigner_slice``: the exact W on the
+    same grid and windows, so slice structure can be compared across the
+    two pipelines."""
     from .wigner import Grid2D, PLANES, _axis_spec
 
-    params.require_canonical()
     if plane not in PLANES:
         raise ConfigError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
-    order = rule.order if rule is not None else 32
-    eng = _engine(params, min(order, 64))
     name_u, name_v = PLANES[plane]
     spec_u = _axis_spec(params, name_u, axis_u)
     spec_v = _axis_spec(params, name_v, axis_v)
-    u = np.linspace(spec_u[0], spec_u[1], spec_u[2])
-    v = np.linspace(spec_v[0], spec_v[1], spec_v[2])
-    col = {"x": 0, "y": 1, "p_x": 2, "p_y": 3}
-
-    def eval_rows(v_chunk: np.ndarray) -> np.ndarray:
-        pts = np.zeros((v_chunk.size * u.size, 4))
-        uu, vv = np.meshgrid(u, v_chunk)
-        pts[:, col[name_u]] = uu.ravel()
-        pts[:, col[name_v]] = vv.ravel()
-        return eng.values(pts).reshape(v_chunk.size, u.size)
-
-    if threads <= 1 or spec_v[2] < 4:
-        values = eval_rows(v)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(spec_v[2]), min(threads, spec_v[2]))
-        values = np.empty((spec_v[2], spec_u[2]))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, block in zip(chunks, pool.map(lambda c: eval_rows(v[c]), chunks)):
-                values[idx] = block
-    return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=values)
+    coords = {"x": 0.0, "y": 0.0, "p_x": 0.0, "p_y": 0.0}
+    coords[name_u] = np.linspace(spec_u[0], spec_u[1], spec_u[2])[None, :]
+    coords[name_v] = np.linspace(spec_v[0], spec_v[1], spec_v[2])[:, None]
+    return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=_exact_wigner(params, **coords))
 
 
 def oracle_covariance_entries(params: QevParams, rule: QuadratureRule | None = None) -> dict[str, float]:
-    """First and second moments of the oracle W (Weyl-symmetrized products)."""
-    order = rule.order if rule is not None else 32
-    eng = _engine(params, min(order, 48))
-    return {name: eng.moment(name) for name in (
-        "x", "y", "p_x", "p_y", "xx", "yy", "pxpx", "pypy", "xpx", "ypy", "xy", "xpy", "ypx", "pxpy",
-    )}
+    """First and second moments of the oracle W (Weyl-symmetrized products).
+
+    On the matched lattice the quadratic observables raise the polynomial
+    degree to 2m + 2 per variable, so order m + 2 is exact.
+    """
+    nodes, w4 = _lattice(_lattice_order(rule, params.m + 2), 4)
+    base = w4 * _polynomial_factor(params, *nodes)
+    t, s, q_t, q_s = nodes
+    sx, sy = params.sigma_x, params.sigma_y
+    coords = {"x": sx * t, "y": sy * s, "p_x": q_t / sx, "p_y": q_s / sy}
+    pairs = {
+        "xx": ("x", "x"), "yy": ("y", "y"), "pxpx": ("p_x", "p_x"), "pypy": ("p_y", "p_y"),
+        "xpx": ("x", "p_x"), "ypy": ("y", "p_y"), "xy": ("x", "y"),
+        "xpy": ("x", "p_y"), "ypx": ("y", "p_x"), "pxpy": ("p_x", "p_y"),
+    }
+    out = {name: float(np.sum(base * c)) for name, c in coords.items()}
+    out.update({name: float(np.sum(base * coords[a] * coords[b])) for name, (a, b) in pairs.items()})
+    return out

@@ -213,9 +213,10 @@ def check_oracle_convergence(tol_scale: float) -> tuple[bool, str]:
         a = oracle.transform_points(p, pts, numerics.gauss_hermite_rule(64), check_reality=False).real
         b = oracle.transform_points(p, pts, numerics.gauss_hermite_rule(128), check_reality=False).real
         worst = max(worst, float(np.max(np.abs(a - b))))
-        n64 = oracle.wigner_norm(p, numerics.gauss_hermite_rule(64))
-        n32 = oracle.wigner_norm(p, numerics.gauss_hermite_rule(32))
-        worst = max(worst, abs(n64 - n32))
+        # the minimal exact order and the next one must give the same norm
+        n_min = oracle.wigner_norm(p, numerics.gauss_hermite_rule(p.m + 1))
+        n_next = oracle.wigner_norm(p, numerics.gauss_hermite_rule(p.m + 2))
+        worst = max(worst, abs(n_next - n_min))
         # 4D tensor default is 32 per axis; doubling must not move K_num
         k32 = wigner.closed_form_norm_constant(p, order=32)
         k64 = wigner.closed_form_norm_constant(p, order=64)

@@ -12,6 +12,7 @@ c1 = 1 with the same intercept.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +133,22 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
     sigma = np.exp(2.0 * zeta)
     en = np.full((config.n_steps, len(config.m_list)), np.nan)
 
-    def point_row(i: int) -> tuple[int, list[float] | QevError]:
+    # Points start in index order, so a point that sees a failure lies after
+    # the failed one: the scan stops there and never reads the skipped row.
+    failed = threading.Event()
+
+    def point_row(i: int) -> tuple[int, list[float] | QevError | None]:
+        if failed.is_set():
+            return i, None
         try:
             return i, [_en_at(config, float(zeta[i]), m) for m in config.m_list]
         except QevError as exc:
+            failed.set()
             return i, exc
 
     failure = None
     n_completed = 0
+    pool = None
     if threads <= 1:
         results = map(point_row, range(config.n_steps))
     else:
@@ -147,14 +156,17 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
 
         pool = ThreadPoolExecutor(max_workers=threads)
         results = pool.map(point_row, range(config.n_steps))
-    for i, row in results:
-        if isinstance(row, QevError):
-            failure = f"point {i} (zeta_x={zeta[i]:.6f}): {row}"
-            break
-        en[i] = row
-        n_completed += 1
-    if threads > 1:
-        pool.shutdown(wait=False, cancel_futures=True)
+    try:
+        for i, row in results:
+            if isinstance(row, QevError):
+                failure = f"point {i} (zeta_x={zeta[i]:.6f}): {row}"
+                break
+            en[i] = row
+            n_completed += 1
+    finally:
+        if pool is not None:
+            # Drop queued points and wait for running ones: no work outlives the call.
+            pool.shutdown(wait=True, cancel_futures=True)
 
     crossings: list[CrossingReport] = []
     orderings: list[str] = []

@@ -10,9 +10,10 @@ from numpy.polynomial import laguerre as npl
 from qev.errors import ConfigError
 from qev.numerics import gauss_hermite_rule
 from qev.oracle import (
-    _engine,
+    _exact_wigner,
     escalated_order,
     marginal_check,
+    oracle_covariance_entries,
     sample_phase_points,
     transform_points,
     validate_closed_form,
@@ -33,8 +34,8 @@ def rotated_mode_wigner(params, x, y, px, py):
     In scaled coordinates u = x/sx, v = y/sy, qu = sx*px, qv = sy*py the
     state is a number state of one rotated mode times the vacuum of the
     other, giving W = ((-1)^m/pi^2) e^{-(u^2+v^2+qu^2+qv^2)}
-    L_m[(u + s*qv)^2 + (v - s*qu)^2].  Derived independently of the
-    quadrature engine; m <= ~10 only (ordinary Laguerre via numpy).
+    L_m[(u + s*qv)^2 + (v - s*qu)^2].  Evaluated through numpy's Laguerre
+    series rather than the package's recurrence; m <= ~10 only.
     """
     sx, sy, m, s = params.sigma_x, params.sigma_y, params.m, params.sign
     u, v, qu, qv = x / sx, y / sy, sx * px, sy * py
@@ -74,14 +75,27 @@ class TestTransform:
             want = rotated_mode_wigner(p, x, y, px, py)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
-    def test_direct_and_shifted_paths_agree(self):
+    def test_direct_and_exact_paths_agree(self):
         p = QevParams.from_sigma(3, 5.0, 3.0)
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(20, 4)) * np.array([5, 3, 0.2, 1 / 3])
         direct = transform_points(p, pts, gauss_hermite_rule(64), check_reality=False)
-        fast = _engine(p, 64).values(pts)
-        assert np.max(np.abs(direct.real - fast)) < 1e-13
+        exact = _exact_wigner(p, *pts.T)
+        assert np.max(np.abs(direct.real - exact)) < 1e-13
         assert np.max(np.abs(direct.imag)) < 1e-12
+
+    @pytest.mark.parametrize("m", range(8))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("sx,sy", [(0.5, 3.0), (1.0, 1.0), (5.0, 3.0)])
+    def test_exact_evaluator_matches_transform(self, m, sign, sx, sy):
+        p = QevParams.from_sigma(m, sx, sy, sign=sign)
+        pts = sample_phase_points(p, 300, seed=100 + m)
+        orders = np.array([escalated_order(p, q[2], q[3]) for q in pts])
+        want = np.empty(len(pts))
+        for order in np.unique(orders):
+            sel = orders == order
+            want[sel] = transform_points(p, pts[sel], gauss_hermite_rule(int(order))).real
+        np.testing.assert_allclose(_exact_wigner(p, *pts.T), want, rtol=1e-8, atol=1e-12)
 
     def test_reality_enforced(self):
         p = QevParams.from_sigma(2, 1.0, 1.0)
@@ -135,6 +149,29 @@ class TestNormAndPurity:
         integral = wigner_norm(p, pipeline="closed-form")
         assert 1.0 / integral == pytest.approx(closed_form_norm_constant(p), rel=1e-12)
         assert 1.0 / integral == pytest.approx(1.0 / math.pi**2, rel=1e-10)
+
+
+class TestMoments:
+    @pytest.mark.parametrize("m", range(6))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("sx,sy", [(0.5, 3.0), (5.0, 3.0)])
+    def test_covariance_is_scaled_fock_covariance(self, m, sign, sx, sy):
+        # S V S: the circular-mode Fock covariance V under the local scaling S
+        p = QevParams.from_sigma(m, sx, sy, sign=sign)
+        v = np.diag([(m + 1) / 2.0] * 4)
+        v[0, 3] = v[3, 0] = sign * m / 2.0
+        v[1, 2] = v[2, 1] = -sign * m / 2.0
+        scale = np.diag([sx, 1 / sx, sy, 1 / sy])
+        want = scale @ v @ scale
+        e = oracle_covariance_entries(p)
+        got = np.array([
+            [e["xx"], e["xpx"], e["xy"], e["xpy"]],
+            [e["xpx"], e["pxpx"], e["ypx"], e["pxpy"]],
+            [e["xy"], e["ypx"], e["yy"], e["ypy"]],
+            [e["xpy"], e["pxpy"], e["ypy"], e["pypy"]],
+        ])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert max(abs(e[k]) for k in ("x", "y", "p_x", "p_y")) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestMarginal:

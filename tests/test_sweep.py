@@ -69,6 +69,35 @@ class TestRunSweep:
         b = run_sweep(small_config(), threads=4)
         assert np.array_equal(a.log_negativity, b.log_negativity)
 
+    def test_failed_sweep_leaves_no_point_running(self, monkeypatch):
+        import threading
+        import time
+
+        from qev import sweep
+        from qev.errors import NumericError
+
+        config = small_config(n_steps=8, m_list=(0, 1, 2, 3))
+        calls = []
+        lock = threading.Lock()
+        real = sweep.entanglement_of
+
+        def failing_first_point(params, **kwargs):
+            with lock:
+                calls.append(params.zeta_x)
+            if params.zeta_x == config.zeta_x_min:
+                raise NumericError("injected failure")
+            time.sleep(0.02)
+            return real(params, **kwargs)
+
+        monkeypatch.setattr(sweep, "entanglement_of", failing_first_point)
+        result = run_sweep(config, threads=2)
+        assert result.failure is not None and result.n_completed == 0
+        settled = len(calls)
+        # only the failed point and the one already running on the other thread
+        assert settled <= 1 + len(config.m_list)
+        time.sleep(0.3)
+        assert len(calls) == settled, "points kept running after run_sweep returned"
+
     def test_both_pipelines_agree_on_zero(self):
         for pipeline in ("oracle", "closed-form"):
             result = run_sweep(small_config(pipeline=pipeline, m_list=(0, 2)))

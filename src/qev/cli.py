@@ -79,7 +79,7 @@ def _resolve(args, config: dict, key: str, default, cast):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores; never changes output bytes)")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
-    parser.add_argument("--quad-order", type=int, default=None, help="base quadrature order for 1D/2D integrals (default 64)")
+    parser.add_argument("--quad-order", type=int, default=None, help="base quadrature order of the oracle's rules (default 64)")
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -155,9 +155,8 @@ def cmd_slice(args) -> int:
     threads = _threads(args, config)
     order = _resolve(args, config, "quad_order", 64, int)
 
-    if pipeline in ("closed-form", "paper-literal"):
-        grid = wigner_slice(params, plane, axis_u=n, axis_v=n, order=min(order, 64) // 2 or 16, threads=threads)
-        pipeline = "closed-form"
+    if pipeline == "closed-form":
+        grid = wigner_slice(params, plane, axis_u=n, axis_v=n, threads=threads)
         k_num = closed_form_norm_constant(params)
         k_ref = closed_form_reference_constant(params)
         extra = {"k_num": k_num, "k_reference": k_ref, "k_ratio": k_num / k_ref}
@@ -206,12 +205,10 @@ def cmd_validate(args) -> int:
     out = _resolve(args, config, "out", None, str)
     if out is None:
         raise UsageError("--out is required")
-    threads = _threads(args, config)
+    _threads(args, config)  # validated, but the adjudication runs on one thread
     base_order = _resolve(args, config, "quad_order", 64, int)
 
-    report = validate_closed_form(
-        params, n_points, seed, tol=tol, abs_floor=abs_floor, threads=threads, base_order=base_order
-    )
+    report = validate_closed_form(params, n_points, seed, tol=tol, abs_floor=abs_floor, base_order=base_order)
     n_num, ratio = normalization_constant(params)
     k_num = closed_form_norm_constant(params)
     k_ref = closed_form_reference_constant(params)
@@ -325,7 +322,7 @@ def cmd_sweep(args) -> int:
         )
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
-    if sweep_config.pipeline not in ("closed-form", "paper-literal", "oracle"):
+    if sweep_config.pipeline not in ("closed-form", "oracle"):
         raise UsageError("--pipeline must be closed-form or oracle")
 
     result = run_sweep(sweep_config, threads=_threads(args, config))

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .numerics import QuadratureRule, gauss_hermite_rule, laguerre_assoc_half
+from .numerics import QuadratureRule, gauss_hermite_rule
 from .oracle import oracle_covariance_entries
 from .state import QevParams, psi, psi_gradient
+from .wigner import _eta_coefficients
 
 __all__ = [
     "CovarianceMatrix",
@@ -266,85 +266,40 @@ def second_moments(
     return cov
 
 
-@lru_cache(maxsize=4096)
-def _closed_form_entries_cached(params: QevParams, order: int) -> tuple[float, ...]:
-    """Moments of the normalized closed-form distribution by a matched 4D rule.
-
-    The integrand (Laguerre factor times quadratic observables against the
-    matched Gaussian) is polynomial, so the tensor rule is exact for
-    order > m + 1; 16 points per axis already suffice for every m <= 13.
-    """
-    rule = gauss_hermite_rule(order)
-    t = rule.nodes
-    w = rule.weights
-    sx, sy = params.sigma_x, params.sigma_y
-    denom = math.sqrt(sx**2 + sy**2)
-    # matched lattice: x = sx tx, y = sy ty, p_x = tpx/sx, p_y = tpy/sy
-    cx, cy = -sy / (2.0 * denom), -sx / (2.0 * denom)
-    cpx, cpy = sy**3 / (sx * denom), sx**3 / (sy * denom)
-    eta = (
-        cx * t[:, None, None, None]
-        + cy * t[None, :, None, None]
-        + cpx * t[None, None, :, None]
-        + cpy * t[None, None, None, :]
-    )
-    lag = laguerre_assoc_half(params.m, eta**2)
-    w4 = (
-        w[:, None, None, None]
-        * w[None, :, None, None]
-        * w[None, None, :, None]
-        * w[None, None, None, :]
-    )
-    base = w4 * lag
-    total = float(np.sum(base))
-    coords = {
-        "x": sx * t[:, None, None, None],
-        "y": sy * t[None, :, None, None],
-        "p_x": t[None, None, :, None] / sx,
-        "p_y": t[None, None, None, :] / sy,
-    }
-    out = {}
-    for name, arr in coords.items():
-        out[name] = float(np.sum(base * arr)) / total
-    pairs = {
-        "xx": ("x", "x"), "yy": ("y", "y"), "pxpx": ("p_x", "p_x"), "pypy": ("p_y", "p_y"),
-        "xy": ("x", "y"), "xpx": ("x", "p_x"), "ypy": ("y", "p_y"),
-        "xpy": ("x", "p_y"), "ypx": ("y", "p_x"), "pxpy": ("p_x", "p_y"),
-    }
-    for name, (u, v) in pairs.items():
-        out[name] = float(np.sum(base * coords[u] * coords[v])) / total
-    names = ("x", "y", "p_x", "p_y", "xx", "yy", "pxpx", "pypy", "xy", "xpx", "ypy", "xpy", "ypx", "pxpy")
-    return tuple(out[n] for n in names)
-
-
-def closed_form_second_moments(params: QevParams, order: int = 32) -> CovarianceMatrix:
+def closed_form_second_moments(params: QevParams) -> CovarianceMatrix:
     """Covariance of the literal closed-form distribution (no physicality gate).
+
+    In matched coordinates (t_x, t_y, t_px, t_py) the distribution is
+    e^{-|t|^2} L_m^{-1/2}((c . t)^2) up to its constant, with zero first
+    moments and covariance I/2 + (m / (rho - 1)) c c^T, rho = c . c.  The
+    physical covariance is S M S with S = diag(sigma_x, sigma_y,
+    1/sigma_x, 1/sigma_y), reordered to (x, p_x, y, p_y).
 
     This is the distribution being adjudicated, not the state, so the
     uncertainty bound is *checked by the caller* where required rather than
     enforced here.
     """
     params.require_canonical()
-    names = ("x", "y", "p_x", "p_y", "xx", "yy", "pxpx", "pypy", "xy", "xpx", "ypy", "xpy", "ypx", "pxpy")
-    entries = dict(zip(names, _closed_form_entries_cached(params, order)))
-    return _assemble(entries)
+    c, rho = _eta_coefficients(params)
+    tilt = params.m / (rho - 1.0) if params.m else 0.0
+    matched = 0.5 * np.eye(4) + tilt * np.outer(c, c)
+    scale = np.array([params.sigma_x, params.sigma_y, 1.0 / params.sigma_x, 1.0 / params.sigma_y])
+    order = [0, 2, 1, 3]  # (x, y, p_x, p_y) -> (x, p_x, y, p_y)
+    return CovarianceMatrix(sigma=(scale[:, None] * matched * scale[None, :])[np.ix_(order, order)])
 
 
 def entanglement_of(params: QevParams, pipeline: str = "oracle", rule: QuadratureRule | None = None) -> tuple[CovarianceMatrix, EntanglementReport]:
     """Covariance + report for one state through the selected pipeline.
 
     ``oracle`` builds the covariance from the state itself (wavefunction
-    moments); ``closed-form`` builds it from the literal closed-form
-    distribution via the phase-space moment relation.  4D tensor rules run
-    at half the base 1D/2D order (default 64 -> 32 per axis).
+    moments, on ``rule``); ``closed-form`` builds it from the literal
+    closed-form distribution, exactly.
     """
     notes = (GAUSSIAN_APPROX_NOTE,) if params.m > 0 else ()
     if pipeline == "oracle":
         cov = second_moments(params, rule, method="wavefunction")
-    elif pipeline in ("closed-form", "paper-literal"):
-        order4d = max(16, (rule.order if rule is not None else 64) // 2)
-        cov = closed_form_second_moments(params, order=order4d)
-        pipeline = "closed-form"
+    elif pipeline == "closed-form":
+        cov = closed_form_second_moments(params)
     else:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     return cov, log_negativity(cov, pipeline=pipeline, notes=notes)

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 from .numerics import QuadratureRule, gauss_hermite_rule, laguerre_general
 from .state import QevParams, _norm_constant_cached, intensity
-from .wigner import PhasePoint, wigner_closed
+from .wigner import PLANES, Grid2D, PhasePoint, _axis_spec, _eta_coefficients, closed_form_norm_constant, wigner_closed
 
 __all__ = [
     "wigner_transform",
@@ -123,7 +124,7 @@ def transform_points(
         raise ConfigError("points must be an (N, 4) array of (x, y, p_x, p_y)")
     sx, sy = params.sigma_x, params.sigma_y
     m, s = params.m, params.sign
-    n2 = _norm_constant_cached(params, 64) ** 2
+    n2 = _norm_constant_cached(params) ** 2
     t = rule.nodes
     w = rule.weights
 
@@ -199,25 +200,15 @@ def _lattice(order: int, dims: int, scale: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def wigner_norm(params: QevParams, rule: QuadratureRule | None = None, pipeline: str = "oracle") -> float:
-    """Phase-space integral of W.
+def wigner_norm(params: QevParams, rule: QuadratureRule | None = None) -> float:
+    """Phase-space integral of the exact W (should be 1).
 
-    ``oracle``: integral of the exact W (should be 1).  On the matched
-    lattice x = sigma_x t, p_x = q_t/sigma_x (and the y analogue, unit
-    jacobian) the integrand is the Hermite weight times a polynomial of
-    degree 2m per variable, so order m + 1 is exact.  ``closed-form``:
-    integral of the *unnormalized* closed kernel, whose reciprocal is the
-    closed form's numeric constant; rule orders beyond 64 are capped.
+    On the matched lattice x = sigma_x t, p_x = q_t/sigma_x (and the y
+    analogue, unit jacobian) the integrand is the Hermite weight times a
+    polynomial of degree 2m per variable, so order m + 1 is exact.
     """
-    if pipeline == "oracle":
-        nodes, w4 = _lattice(_lattice_order(rule, params.m + 1), 4)
-        return float(np.sum(w4 * _polynomial_factor(params, *nodes)))
-    if pipeline in ("closed-form", "paper-literal"):
-        from .wigner import _norm_integral_cached
-
-        order = rule.order if rule is not None else DEFAULT_ORDER
-        return _norm_integral_cached(params, min(order, 64))
-    raise ConfigError(f"unknown pipeline {pipeline!r}")
+    nodes, w4 = _lattice(_lattice_order(rule, params.m + 1), 4)
+    return float(np.sum(w4 * _polynomial_factor(params, *nodes)))
 
 
 def wigner_purity(params: QevParams, rule: QuadratureRule | None = None) -> float:
@@ -248,7 +239,6 @@ class MarginalReport:
     pipeline: str
     grid_shape: tuple[int, int]
     max_abs_deviation: float
-    rule_order: int
 
 
 def marginal_check(
@@ -260,7 +250,8 @@ def marginal_check(
     """Compare the momentum-integrated W against |psi|^2 on a position grid.
 
     Report-only: the closed-form pipeline may legitimately deviate, and the
-    deviation feeds the discrepancy records.
+    deviation feeds the discrepancy records.  ``rule`` raises the oracle's
+    lattice order; the closed form's marginal is exact and takes none.
     """
     smax = max(params.sigma_x, params.sigma_y)
     if grid is None:
@@ -272,15 +263,13 @@ def marginal_check(
     y = np.linspace(lo, hi, count)
     target = intensity(params, x[:, None], y[None, :])
     if pipeline == "oracle":
-        order = _lattice_order(rule, params.m + 1)
-        marg = _oracle_marginal(params, x, y, order)
-    elif pipeline in ("closed-form", "paper-literal"):
-        order = min(rule.order if rule is not None else DEFAULT_ORDER, 64)
-        marg = _closed_form_marginal(params, x, y, order)
+        marg = _oracle_marginal(params, x, y, _lattice_order(rule, params.m + 1))
+    elif pipeline == "closed-form":
+        marg = _closed_form_marginal(params, x, y)
     else:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     dev = float(np.max(np.abs(marg - target)))
-    return MarginalReport(pipeline=pipeline, grid_shape=(count, count), max_abs_deviation=dev, rule_order=order)
+    return MarginalReport(pipeline=pipeline, grid_shape=(count, count), max_abs_deviation=dev)
 
 
 def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
@@ -297,24 +286,27 @@ def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray, order: int
     return np.exp(-t * t - s * s) * np.sum(w2 * factor, axis=(2, 3)) / (sx * sy)
 
 
-def _closed_form_marginal(params: QevParams, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """Momentum integral of the normalized closed form on a position grid."""
-    from .numerics import laguerre_assoc_half
-    from .wigner import alp_argument, closed_form_norm_constant
+def _closed_form_marginal(params: QevParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Momentum integral of the normalized closed form on a position grid.
 
-    rule = gauss_hermite_rule(order)
-    sx, sy = params.sigma_x, params.sigma_y
-    px = rule.nodes / sx
-    py = rule.nodes / sy
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    k_num = closed_form_norm_constant(params)
-    gauss_xy = np.exp(-((x[:, None] / sx) ** 2) - (y[None, :] / sy) ** 2)
-    out = np.empty((x.size, y.size))
-    for i, xi in enumerate(x):
-        arg = alp_argument(params, xi, y[None, None, :], px[:, None, None], py[None, :, None])
-        lag = laguerre_assoc_half(params.m, arg)
-        out[i] = np.sum(w2[:, :, None] * lag, axis=(0, 1)) / (sx * sy)
-    return k_num * gauss_xy * out
+    With mu = c_x t + c_y s and rho_q = c_px^2 + c_py^2 it is K_num pi
+    e^{-t^2-s^2} / (sigma_x sigma_y) times (-1)^m / (4^m m!) sum_k h_k
+    mu^{2k} (1 - rho_q)^{m-k}, h_k the u^{2k} coefficient of H_{2m}(u),
+    because L_m^{-1/2}(u^2) = (-1)^m H_{2m}(u) / (4^m m!).
+    """
+    sx, sy, m = params.sigma_x, params.sigma_y, params.m
+    c, _ = _eta_coefficients(params)
+    t = (x / sx)[:, None]
+    s = (y / sy)[None, :]
+    mu_sq = (c[0] * t + c[1] * s) ** 2
+    a = 1.0 - (c[2] ** 2 + c[3] ** 2)
+    series = 0.0
+    for k in range(m + 1):
+        # (-1)^m h_k / (4^m m!), exact before its one rounding
+        denom = 4**m * math.factorial(m) * math.factorial(m - k) * math.factorial(2 * k)
+        coeff = Fraction((-1) ** k * math.factorial(2 * m) * 4**k, denom)
+        series = series + float(coeff) * mu_sq**k * a ** (m - k)
+    return closed_form_norm_constant(params) * (math.pi / (sx * sy)) * np.exp(-t * t - s * s) * series
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +375,11 @@ def validate_closed_form(
     seed: int,
     tol: float = 1e-6,
     abs_floor: float = 1e-12,
-    threads: int = 1,
     base_order: int = DEFAULT_ORDER,
 ) -> ValidationReport:
     """Adjudicate the closed form against the transform oracle point by point.
 
-    verdict is MATCH iff rel_err <= tol or abs_err <= abs_floor.  Identical
-    (seed, order) inputs give identical reports regardless of thread count.
+    verdict is MATCH iff rel_err <= tol or abs_err <= abs_floor.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -401,26 +391,12 @@ def validate_closed_form(
         [wigner_closed(params, PhasePoint(p[0], p[1], p[2], p[3])) for p in pts]
     )
 
-    def oracle_chunk(idx: np.ndarray) -> np.ndarray:
-        out = np.empty((idx.size, 2))
-        for row, i in enumerate(idx):
-            raw = transform_points(
-                params, pts[i : i + 1], gauss_hermite_rule(int(orders[i])), check_reality=False
-            )[0]
-            out[row] = (raw.real, abs(raw.imag))
-        return out
-
-    indices = np.arange(n_points)
-    if threads <= 1:
-        oracle_vals = oracle_chunk(indices)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(indices, min(threads, n_points))
-        oracle_vals = np.empty((n_points, 2))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, block in zip(chunks, pool.map(oracle_chunk, chunks)):
-                oracle_vals[idx] = block
+    oracle_vals = np.empty((n_points, 2))
+    for i in range(n_points):
+        raw = transform_points(
+            params, pts[i : i + 1], gauss_hermite_rule(int(orders[i])), check_reality=False
+        )[0]
+        oracle_vals[i] = (raw.real, abs(raw.imag))
 
     worst_idx = int(np.argmax(oracle_vals[:, 1])) if n_points else 0
     worst_imag = float(oracle_vals[worst_idx, 1]) if n_points else 0.0
@@ -486,8 +462,6 @@ def oracle_slice(
     """Oracle counterpart of ``wigner.wigner_slice``: the exact W on the
     same grid and windows, so slice structure can be compared across the
     two pipelines."""
-    from .wigner import Grid2D, PLANES, _axis_spec
-
     if plane not in PLANES:
         raise ConfigError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
     name_u, name_v = PLANES[plane]

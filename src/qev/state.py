@@ -9,10 +9,10 @@ spatial amplitude is
     psi(x, y) = N * [x/(sqrt(2) sigma_x) +- i y/(sqrt(2) sigma_y)]^m
                   * exp(-((x/sigma_x)^2 + (y/sigma_y)^2) / 2)
 
-where N is determined numerically so that the amplitude is unit-normalized.
+where N^2 = 2^m / (pi m! sigma_x sigma_y) makes the amplitude unit-normalized.
 The closed-form prefactor that accompanies the formula in the literature is
 not unit-norm; it is kept only as a reference value and every evaluation uses
-the numeric constant (the ratio of the two is reported for traceability).
+N (the ratio of the two is reported for traceability).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .numerics import gamma_half_integer, gauss_hermite_rule
+from .numerics import gamma_half_integer
 
 __all__ = [
     "QevParams",
@@ -37,8 +37,6 @@ __all__ = [
     "closed_form_prefactor",
     "winding_number",
 ]
-
-DEFAULT_NORM_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -153,22 +151,15 @@ def _as_float_array(name: str, value):
 
 
 @lru_cache(maxsize=256)
-def _norm_constant_cached(params: QevParams, order: int) -> float:
-    """Unit-norm amplitude prefactor via 2D Gauss-Hermite quadrature.
+def _norm_constant_cached(params: QevParams) -> float:
+    """Unit-norm amplitude prefactor N, exact in closed form.
 
     In scaled coordinates t = x/sigma_x, s = y/sigma_y the squared modulus of
     the unnormalized amplitude is sigma_x sigma_y 2^{-m} (t^2+s^2)^m
-    e^{-t^2-s^2}, a polynomial against the tensor Hermite weight, so the rule
-    is exact for order > m.
+    e^{-t^2-s^2}, whose integral is sigma_x sigma_y 2^{-m} pi m!, so
+    N^2 = 2^m / (pi m! sigma_x sigma_y).
     """
-    rule = gauss_hermite_rule(order)
-    t = rule.nodes[:, None]
-    s = rule.nodes[None, :]
-    w2 = rule.weights[:, None] * rule.weights[None, :]
-    integral = params.sigma_x * params.sigma_y * 2.0 ** (-params.m) * float(
-        np.sum(w2 * (t * t + s * s) ** params.m)
-    )
-    return 1.0 / math.sqrt(integral)
+    return math.sqrt(2.0**params.m / (math.pi * math.factorial(params.m) * params.sigma_x * params.sigma_y))
 
 
 def closed_form_prefactor(params: QevParams) -> float:
@@ -182,11 +173,11 @@ def closed_form_prefactor(params: QevParams) -> float:
     )
 
 
-def normalization_constant(params: QevParams, order: int = DEFAULT_NORM_ORDER) -> tuple[float, float]:
-    """(n_num, formula_ratio): numeric unit-norm constant and its ratio to
-    the closed-form reference prefactor."""
+def normalization_constant(params: QevParams) -> tuple[float, float]:
+    """(n_num, formula_ratio): the unit-norm constant and its ratio to the
+    closed-form reference prefactor."""
     params.require_canonical()
-    n_num = _norm_constant_cached(params, order)
+    n_num = _norm_constant_cached(params)
     return n_num, n_num / closed_form_prefactor(params)
 
 
@@ -200,7 +191,7 @@ def psi(params: QevParams, x, y):
     params.require_canonical()
     x_arr = _as_float_array("x", x)
     y_arr = _as_float_array("y", y)
-    n_num = _norm_constant_cached(params, DEFAULT_NORM_ORDER)
+    n_num = _norm_constant_cached(params)
     sx, sy = params.sigma_x, params.sigma_y
     vortex = x_arr / (math.sqrt(2.0) * sx) + 1j * params.sign * y_arr / (math.sqrt(2.0) * sy)
     gauss = np.exp(-0.5 * ((x_arr / sx) ** 2 + (y_arr / sy) ** 2))
@@ -215,7 +206,7 @@ def psi_gradient(params: QevParams, x, y):
     params.require_canonical()
     x_arr = _as_float_array("x", x)
     y_arr = _as_float_array("y", y)
-    n_num = _norm_constant_cached(params, DEFAULT_NORM_ORDER)
+    n_num = _norm_constant_cached(params)
     sx, sy = params.sigma_x, params.sigma_y
     m, s = params.m, params.sign
     vortex = x_arr / (math.sqrt(2.0) * sx) + 1j * s * y_arr / (math.sqrt(2.0) * sy)

@@ -18,21 +18,20 @@ maps are exposed unchanged by ``scaled_vars``.
 
 The multiplicative constant is *not* taken from the closed-form reference K
 (which is negative for odd m and does not normalize the distribution);
-instead a numeric constant enforcing a unit phase-space integral is computed
-once per parameter set and cached, and the ratio to the reference K is
-reported alongside.
+instead the constant enforcing a unit phase-space integral is used, which
+is exact in closed form (``closed_form_norm_constant``), and the ratio to
+the reference K is reported alongside.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError
-from .numerics import gamma_half_integer, gauss_hermite_rule, laguerre_assoc_half
+from .numerics import gamma_half_integer, laguerre_assoc_half
 from .state import QevParams
 
 __all__ = [
@@ -53,7 +52,8 @@ __all__ = [
     "alp_argument",
 ]
 
-DEFAULT_4D_ORDER = 32
+# 1 - rho within this many ulps of rho counts as zero (see _eta_coefficients).
+RHO_UNIT_ULPS = 4
 
 # plane tag -> (u axis, v axis); the complementary two coordinates are zero.
 PLANES = {
@@ -181,8 +181,8 @@ def alp_argument(params: QevParams, x, y, p_x, p_y):
 def _closed_kernel(params: QevParams, x, y, p_x, p_y):
     """Unnormalized closed-form value: Gaussian envelope times L_m^{-1/2}.
 
-    Shared by the 4D evaluator, the slice evaluator, and the normalization
-    integral, so slices agree with pinned-coordinate 4D evaluation bitwise.
+    Shared by the 4D evaluator and the slice evaluator, so slices agree with
+    pinned-coordinate 4D evaluation bitwise.
     """
     sx, sy = params.sigma_x, params.sigma_y
     x = np.asarray(x, dtype=np.float64)
@@ -196,52 +196,35 @@ def _closed_kernel(params: QevParams, x, y, p_x, p_y):
     return gauss * laguerre_assoc_half(params.m, arg)
 
 
-@lru_cache(maxsize=128)
-def _norm_integral_cached(params: QevParams, order: int) -> float:
-    """Phase-space integral of the unnormalized kernel by a 4D tensor rule.
+def _eta_coefficients(params: QevParams) -> tuple[np.ndarray, float]:
+    """Coefficients c of eta on the matched lattice, and rho = c . c.
 
-    Axes are variance-matched (x = sigma_x t, p_x = t/sigma_x, ...) so the
-    Gaussian envelope is absorbed exactly by the Hermite weight and the
-    Laguerre factor is integrated exactly for order > m.
+    With x = sigma_x t_x, y = sigma_y t_y, p_x = t_px / sigma_x and
+    p_y = t_py / sigma_y (unit jacobian) the envelope is e^{-|t|^2} and the
+    Laguerre argument is eta^2, eta = c . (t_x, t_y, t_px, t_py).  For
+    m >= 1 the printed form integrates to zero when rho = 1, so a 1 - rho
+    within ``RHO_UNIT_ULPS`` ulps of rho raises NumericError.
     """
-    rule = gauss_hermite_rule(order)
-    t = rule.nodes
-    w = rule.weights
     sx, sy = params.sigma_x, params.sigma_y
-    # eta = (Px2 + Py2 - X2 - Y2)/sqrt(sx^2+sy^2) on the matched lattice;
-    # the jacobian of the matched substitution is exactly 1.
     denom = math.sqrt(sx**2 + sy**2)
-    cx = -sy * sx / (2.0 * sx) / denom  # coefficient of t_x (x = sx t)
-    cy = -sx * sy / (2.0 * sy) / denom
-    cpx = sy**3 / sx / denom
-    cpy = sx**3 / sy / denom
-    eta = (
-        cx * t[:, None, None, None]
-        + cy * t[None, :, None, None]
-        + cpx * t[None, None, :, None]
-        + cpy * t[None, None, None, :]
-    )
-    lag = laguerre_assoc_half(params.m, eta**2)
-    w4 = (
-        w[:, None, None, None]
-        * w[None, :, None, None]
-        * w[None, None, :, None]
-        * w[None, None, None, :]
-    )
-    integral = float(np.sum(w4 * lag))
-    if integral == 0.0 or not math.isfinite(integral):
-        raise NumericError("closed-form normalization integral did not converge")
-    return integral
+    c = np.array([-sy * sx / (2.0 * sx) / denom, -sx * sy / (2.0 * sy) / denom, sy**3 / sx / denom, sx**3 / sy / denom])
+    rho = float(c @ c)
+    if params.m >= 1 and abs(1.0 - rho) <= RHO_UNIT_ULPS * math.ulp(rho):
+        raise NumericError(f"the printed form cannot be normalised: rho = {rho!r} is 1 within rounding")
+    return c, rho
 
 
-def closed_form_norm_constant(params: QevParams, order: int = DEFAULT_4D_ORDER) -> float:
-    """The numeric constant K_num making the closed form integrate to one.
+def closed_form_norm_constant(params: QevParams) -> float:
+    """The constant K_num making the closed form integrate to one.
 
-    Carries sign (-1)^m automatically: the kernel integral is negative for
-    odd m because the Laguerre tail dominates.
+    The kernel integrates to pi^2 E[L_m^{-1/2}(eta^2)] with
+    eta ~ N(0, rho/2), so K_num = 4^m / (pi^2 C(2m, m) (1 - rho)^m).
+    Its sign is that of (1 - rho)^m: negative exactly for odd m with rho > 1.
     """
     params.require_canonical()
-    return 1.0 / _norm_integral_cached(params, order)
+    m = params.m
+    _, rho = _eta_coefficients(params)
+    return 4.0**m / (math.pi**2 * math.comb(2 * m, m) * (1.0 - rho) ** m)
 
 
 def closed_form_reference_constant(params: QevParams) -> float:
@@ -256,10 +239,10 @@ def closed_form_reference_constant(params: QevParams) -> float:
     return base * (-2.0 * (params.sigma_x**2 + params.sigma_y**2)) ** m
 
 
-def wigner_closed(params: QevParams, point: PhasePoint, order: int = DEFAULT_4D_ORDER) -> float:
+def wigner_closed(params: QevParams, point: PhasePoint) -> float:
     """Closed-form Wigner value at a phase-space point (unit-normalized)."""
     params.require_canonical()
-    k_num = closed_form_norm_constant(params, order)
+    k_num = closed_form_norm_constant(params)
     return float(k_num * _closed_kernel(params, point.x, point.y, point.p_x, point.p_y))
 
 
@@ -285,7 +268,6 @@ def wigner_slice(
     plane: str,
     axis_u: tuple[float, float, int] | int | None = None,
     axis_v: tuple[float, float, int] | int | None = None,
-    order: int = DEFAULT_4D_ORDER,
     threads: int = 1,
 ) -> Grid2D:
     """Evaluate the closed form on a 2D grid with the other two coordinates zero.
@@ -305,7 +287,7 @@ def wigner_slice(
         raise ConfigError("grid axes need at least 2 samples")
     u = np.linspace(spec_u[0], spec_u[1], spec_u[2])
     v = np.linspace(spec_v[0], spec_v[1], spec_v[2])
-    k_num = closed_form_norm_constant(params, order)
+    k_num = closed_form_norm_constant(params)
 
     uu = u[None, :]
 

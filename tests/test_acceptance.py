@@ -277,7 +277,7 @@ def test_criterion_08_default_sweep(tmp_path):
     start = time.perf_counter()
     result = run_sweep(SweepConfig())  # zeta in [-4, 2], 100 steps, m 0..5, closed form
     elapsed = time.perf_counter() - start
-    assert elapsed < 300.0
+    assert elapsed < 30.0
     assert result.failure is None
     assert result.n_completed == 100
     assert len(result.orderings) == 5  # monotone-ordering analysis per adjacent pair
@@ -298,7 +298,7 @@ def test_criterion_08_default_sweep(tmp_path):
     assert oracle_doc.exists() and closed_doc.exists()
     statuses = ",".join(sorted({c.status for c in result.crossings}))
     _announce(8, "default sweep",
-              f"100 points in {elapsed:.0f}s < 300s; crossing status {statuses}; annotated CSV emitted")
+              f"100 points in {elapsed:.1f}s < 30s; crossing status {statuses}; annotated CSV emitted")
 
 
 def test_criterion_09_determinism(tmp_path):
@@ -333,6 +333,6 @@ def test_criterion_10_selftest_aggregate():
     elapsed = time.perf_counter() - start
     text = buffer.getvalue()
     assert code == 0, f"selftest failed:\n{text}"
-    assert elapsed < 120.0
+    assert elapsed < 30.0
     n_checks = text.count("PASS")
-    _announce(10, "selftest", f"{n_checks} checks green in {elapsed:.0f}s < 120s")
+    _announce(10, "selftest", f"{n_checks} checks green in {elapsed:.1f}s < 30s")

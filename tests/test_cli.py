@@ -40,6 +40,20 @@ class TestSlice:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1] == paths[2]
 
+    def test_unnormalisable_closed_form_exits_2(self, tmp_path, capsys):
+        # equal widths sqrt(3)/2 give rho = 1, where the printed form
+        # integrates to zero for every m >= 1
+        out = tmp_path / "f.csv"
+        code = main(["slice", "--m", "3", "--sigma-x", "0.8660254037844386",
+                     "--sigma-y", "0.8660254037844386", "--plane", "xy", "--out", str(out)])
+        assert code == 2
+        assert "cannot be normalised" in capsys.readouterr().err
+
+    def test_paper_literal_pipeline_rejected(self, tmp_path):
+        code = main(["slice", "--m", "1", "--sigma-x", "1", "--sigma-y", "1", "--plane", "xy",
+                     "--n", "9", "--pipeline", "paper-literal", "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+
     def test_oracle_pipeline(self, tmp_path):
         out = tmp_path / "o.csv"
         code = main(["slice", "--m", "1", "--sigma-x", "1", "--sigma-y", "1",

@@ -18,7 +18,9 @@ from qev.entanglement import (
     vacuum_covariance,
 )
 from qev.errors import ConfigError, NumericError
+from qev.numerics import gauss_hermite_rule, laguerre_assoc_half
 from qev.state import QevParams
+from qev.wigner import alp_argument
 
 SIGMA_GRID = (0.5, 1.0, 3.0, 5.0)
 
@@ -185,10 +187,26 @@ class TestPipelines:
         assert rep.log_negativity == 0.0
 
     def test_closed_form_matches_quadrature_orders(self):
-        p = QevParams.from_sigma(2, 5.0, 3.0)
-        a = closed_form_second_moments(p, order=16)
-        b = closed_form_second_moments(p, order=32)
-        assert np.max(np.abs(a.sigma - b.sigma)) < 1e-8 * np.max(np.abs(a.sigma))
+        # the exact covariance against a 32^4 matched Gauss-Hermite rule,
+        # exact for these m up to roundoff, at well-conditioned widths
+        rule = gauss_hermite_rule(32)
+        shapes = [(-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1)]
+        t = [rule.nodes.reshape(shape) for shape in shapes]
+        w4 = math.prod(rule.weights.reshape(shape) for shape in shapes)
+        for sx, sy in ((5.0, 3.0), (0.5, 3.0), (1.0, 1.0)):
+            x, y, p_x, p_y = sx * t[0], sy * t[1], t[2] / sx, t[3] / sy
+            coords = (x, p_x, y, p_y)
+            for m in range(6):
+                p = QevParams.from_sigma(m, sx, sy)
+                base = w4 * laguerre_assoc_half(m, alp_argument(p, x, y, p_x, p_y))
+                total = float(np.sum(base))
+                want = np.array([[float(np.sum(base * a * b)) / total for b in coords] for a in coords])
+                got = closed_form_second_moments(p).sigma
+                assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+    def test_paper_literal_alias_rejected(self):
+        with pytest.raises(ConfigError):
+            entanglement_of(QevParams.from_sigma(1, 5.0, 3.0), pipeline="paper-literal")
 
     def test_vortex_pt_spectrum_degenerate(self):
         # the vortex family's covariance sits exactly at nu_min = 1/2 for

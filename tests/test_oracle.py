@@ -8,8 +8,9 @@ import pytest
 from numpy.polynomial import laguerre as npl
 
 from qev.errors import ConfigError
-from qev.numerics import gauss_hermite_rule
+from qev.numerics import gauss_hermite_rule, laguerre_assoc_half
 from qev.oracle import (
+    _closed_form_marginal,
     _exact_wigner,
     escalated_order,
     marginal_check,
@@ -23,7 +24,7 @@ from qev.oracle import (
     wigner_transform,
 )
 from qev.state import QevParams
-from qev.wigner import PhasePoint
+from qev.wigner import PhasePoint, alp_argument, closed_form_norm_constant
 
 SIGMA_PAIRS = [(0.5, 0.5), (0.5, 3.0), (1.0, 1.0), (3.0, 5.0), (5.0, 3.0), (5.0, 5.0)]
 
@@ -143,12 +144,10 @@ class TestNormAndPurity:
             wigner_cross_purity(a, b)
 
     def test_closed_form_norm_path_recovers_constant(self):
-        from qev.wigner import closed_form_norm_constant
-
-        p = QevParams.from_sigma(0, 5.0, 3.0)
-        integral = wigner_norm(p, pipeline="closed-form")
-        assert 1.0 / integral == pytest.approx(closed_form_norm_constant(p), rel=1e-12)
-        assert 1.0 / integral == pytest.approx(1.0 / math.pi**2, rel=1e-10)
+        # at m = 0 the printed kernel is the bare envelope, of integral pi^2
+        for sx, sy in ((5.0, 3.0), (0.5, 0.5), (1.0, 1.0)):
+            p = QevParams.from_sigma(0, sx, sy)
+            assert closed_form_norm_constant(p) == pytest.approx(1.0 / math.pi**2, rel=1e-15)
 
 
 class TestMoments:
@@ -194,6 +193,26 @@ class TestMarginal:
         rep = marginal_check(QevParams.from_sigma(0, 5.0, 3.0), pipeline="closed-form")
         assert rep.max_abs_deviation < 1e-10
 
+    def test_closed_form_marginal_matches_row_quadrature(self):
+        # the exact marginal against a per-row 64^2 momentum rule of the
+        # printed kernel, times the same K_num
+        rule = gauss_hermite_rule(64)
+        w2 = rule.weights[:, None, None] * rule.weights[None, :, None]
+        for sx, sy in ((1.0, 1.0), (5.0, 3.0), (0.5, 3.0), (3.0, 0.5)):
+            smax = max(sx, sy)
+            x = np.linspace(-4.0 * smax, 4.0 * smax, 33)
+            for m in range(6):
+                p = QevParams.from_sigma(m, sx, sy)
+                px = rule.nodes[:, None, None] / sx
+                py = rule.nodes[None, :, None] / sy
+                want = np.empty((x.size, x.size))
+                for i, xi in enumerate(x):
+                    lag = laguerre_assoc_half(m, alp_argument(p, xi, x[None, None, :], px, py))
+                    want[i] = np.exp(-((xi / sx) ** 2) - (x / sy) ** 2) * np.sum(w2 * lag, axis=(0, 1))
+                want *= closed_form_norm_constant(p) / (sx * sy)
+                got = _closed_form_marginal(p, x, x)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestValidation:
     def test_m0_all_match(self):
@@ -212,7 +231,7 @@ class TestValidation:
     def test_same_seed_identical(self):
         p = QevParams.from_sigma(2, 5.0, 3.0)
         a = validate_closed_form(p, 40, seed=7)
-        b = validate_closed_form(p, 40, seed=7, threads=4)
+        b = validate_closed_form(p, 40, seed=7)
         assert [r.oracle_value for r in a.records] == [r.oracle_value for r in b.records]
         assert [r.closed_value for r in a.records] == [r.closed_value for r in b.records]
 

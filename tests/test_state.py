@@ -125,10 +125,12 @@ class TestNormalization:
         assert n_num == pytest.approx(1.0 / math.sqrt(15.0 * math.pi), rel=1e-12)
 
     def test_order_doubling_gate(self):
+        # the closed-form N gives unit norm under a 2D rule and its doubling
         p = QevParams.from_sigma(4, 5.0, 0.5)
-        a, _ = normalization_constant(p, order=64)
-        b, _ = normalization_constant(p, order=128)
+        a = quad_norm(p, order=64)
+        b = quad_norm(p, order=128)
         assert abs(a - b) < 1e-10
+        assert abs(a - 1.0) < 1e-10
 
     def test_reference_prefactor_ratio_reported(self):
         p = QevParams.from_sigma(0, 1.0, 1.0)

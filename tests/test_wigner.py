@@ -1,11 +1,12 @@
 """Closed-form Wigner evaluation, scaled variables, slices, extrema."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qev.errors import ConfigError
+from qev.errors import ConfigError, NumericError
 from qev.numerics import gauss_hermite_rule
 from qev.state import QevParams
 from qev.wigner import (
@@ -63,10 +64,38 @@ class TestWignerClosed:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_norm_constant_sign_alternates(self):
-        # the normalization integral is positive for even m, negative for odd
+        # K_num has the sign of (1 - rho)^m: at (5, 3), rho = 52.2 > 1, so
+        # it alternates with m; at (0.5, 0.5), rho = 0.5 < 1, so it is positive
         for m in range(5):
             p = QevParams.from_sigma(m, 5.0, 3.0)
             assert math.copysign(1.0, closed_form_norm_constant(p)) == (-1.0) ** m
+        assert closed_form_norm_constant(QevParams.from_sigma(3, 0.5, 0.5)) > 0.0
+
+    @pytest.mark.parametrize("sx,sy", [(1.0, 1.0), (0.9, 0.95)])
+    def test_norm_constant_matches_exact_moment_series(self, sx, sy):
+        # 1 / (pi^2 K_num) = E[L_m^{-1/2}(eta^2)], eta ~ N(0, rho/2), summed
+        # over the explicit Laguerre coefficients in exact arithmetic; at
+        # (0.9, 0.95) rho = 1.124 and the series cancels by up to 1.5e6
+        for m in range(8):
+            p = QevParams.from_sigma(m, sx, sy)
+            fx, fy = Fraction(p.sigma_x) ** 2, Fraction(p.sigma_y) ** 2
+            rho = Fraction(1, 4) + (fx**4 + fy**4) / (fx * fy * (fx + fy))
+            total = Fraction(0)
+            for k in range(m + 1):
+                falling = (Fraction(2 * m - 2 * j - 1, 2) for j in range(m - k))
+                binom = math.prod(falling, start=Fraction(1)) / math.factorial(m - k)
+                moment = math.prod(range(1, 2 * k, 2)) * (rho / 2) ** k
+                total += (-1) ** k * binom / math.factorial(k) * moment
+            want = 1.0 / (math.pi**2 * float(total))
+            assert closed_form_norm_constant(p) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_unnormalisable_at_rho_one(self):
+        # equal widths sqrt(3)/2 give rho = 1: the printed form integrates to 0
+        p = QevParams.from_sigma(3, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0)
+        with pytest.raises(NumericError, match="cannot be normalised"):
+            closed_form_norm_constant(p)
+        m0 = QevParams.from_sigma(0, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0)
+        assert closed_form_norm_constant(m0) == pytest.approx(1.0 / math.pi**2, rel=1e-15)
 
     def test_reference_constant_ratio(self):
         p = QevParams.from_sigma(3, 5.0, 3.0)

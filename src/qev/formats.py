@@ -52,8 +52,8 @@ def write_grid_csv(path: str | Path, grid: Grid2D, meta: dict | None = None) -> 
         f"# axis_v min={fmt(grid.axis_v[0])} max={fmt(grid.axis_v[1])} count={grid.axis_v[2]}",
     ]
     lines += _meta_lines(meta)
-    for row in grid.values:
-        lines.append(",".join(fmt(v) for v in row))
+    number = "{:.12e}".format  # fmt's format, bound once for the whole grid
+    lines += [",".join(map(number, row.tolist())) for row in grid.values]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

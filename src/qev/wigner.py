@@ -39,7 +39,6 @@ __all__ = [
     "ScaledVars",
     "Grid2D",
     "Extremum",
-    "Feature",
     "PLANES",
     "scaled_vars",
     "wigner_closed",
@@ -135,17 +134,6 @@ class Extremum:
     u: float
     v: float
     value: float
-
-
-@dataclass(frozen=True)
-class Feature:
-    """A persistence-filtered extremum (a real hill or basin of the surface)."""
-
-    kind: str  # "max" | "min"
-    u: float
-    v: float
-    value: float
-    persistence: float
 
 
 def scaled_vars(params: QevParams, point: PhasePoint) -> ScaledVars:
@@ -379,24 +367,69 @@ def slice_extrema(grid: Grid2D, plateau_tol: float = 1e-12) -> list[Extremum]:
     return out
 
 
-def _persistence_peaks(vals: np.ndarray, ratio: float) -> list[tuple[int, float, float]]:
-    """Topological persistence of the maxima of a 2D field.
+# (row, column) steps from a cell to its 8 neighbours.
+_NEIGHBOURS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
-    Sweep cells from highest to lowest, growing superlevel components with a
-    union-find; a component born at a local peak dies when it merges into an
-    older (higher-born) one, and its persistence is birth - merge level.
-    Peaks whose persistence is below ``ratio * |birth|`` are sampling
-    artifacts riding on a larger hill and are absorbed.
 
-    Returns (flat cell index of birth, birth value, persistence).
+def _births(order: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Cells all of whose in-grid 8-neighbours come later in ``order``."""
+    nv, nu = shape
+    rank = np.empty(shape, dtype=np.int32)
+    rank.ravel()[order] = np.arange(order.size, dtype=np.int32)
+    # A one-cell border ranked after every grid cell stands in for "off grid".
+    padded = np.full((nv + 2, nu + 2), order.size, dtype=np.int32)
+    padded[1:-1, 1:-1] = rank
+    births = np.ones(shape, dtype=bool)
+    for di, dj in _NEIGHBOURS:
+        births &= rank < padded[1 + di : nv + 1 + di, 1 + dj : nu + 1 + dj]
+    return births
+
+
+def _persistence_peaks(field: np.ndarray, keep: np.ndarray, ratio: float) -> list[int]:
+    """Flat indices of the peaks of a 2D field, among the cells in ``keep``,
+    that are real hills by topological persistence.
+
+    Cells are swept from highest to lowest in stable rank order, growing
+    superlevel components with a union-find.  A component is born at a peak
+    (a cell whose neighbours all come later in the sweep) and dies when it
+    merges into an older (higher-born) one; its persistence is birth - merge
+    level.  Peaks whose persistence is below ``ratio * |birth|`` are sampling
+    artifacts riding on a larger hill.  The global top never merges: it
+    persists down to the field's minimum.
+
+    Only the peaks in ``keep`` are decided, so the sweep stops once each of
+    them has merged or can no longer fail: float subtraction is monotone, so
+    a peak with birth - level >= ratio * |birth| at the current level passes
+    at whatever level it later merges.
     """
-    flat = vals.ravel()
-    nv, nu = vals.shape
+    nu = field.shape[1]
+    flat = field.ravel()
     order = np.argsort(flat, kind="stable")[::-1]
-    rank = np.empty(flat.size, dtype=np.int64)
-    rank[order] = np.arange(flat.size)
-    parent = np.full(flat.size, -1, dtype=np.int64)
-    birth_cell = {}
+    top = int(order[0])
+    survivors = []
+    if keep.flat[top] and float(flat[top] - flat[order[-1]]) >= ratio * abs(float(flat[top])):
+        survivors.append(top)
+    peaks = keep & _births(order, field.shape)
+    peaks.flat[top] = False
+    cells = np.flatnonzero(peaks)
+    if cells.size == 0:
+        return survivors
+
+    # The sweep runs on flat indices of the grid padded by one cell, so
+    # neighbours are fixed offsets and border cells, never visited, are
+    # never older than a grid cell.
+    width = nu + 2
+    offsets = [di * width + dj for di, dj in _NEIGHBOURS]
+
+    def padded(index: np.ndarray) -> list[int]:
+        return (index + 2 * (index // nu) + width + 1).tolist()
+
+    undecided = {cell: (birth, ratio * abs(birth)) for cell, birth in zip(padded(cells), flat[cells].tolist())}
+    watch = list(undecided.items())  # scanned once, in any order, by `w`
+    w = 0
+    parent = [-1] * ((field.shape[0] + 2) * width)
+    born: dict[int, int] = {}
+    kept: list[int] = []
 
     def find(c: int) -> int:
         root = c
@@ -406,50 +439,51 @@ def _persistence_peaks(vals: np.ndarray, ratio: float) -> list[tuple[int, float,
             parent[c], c = root, parent[c]
         return root
 
-    survived: list[tuple[int, float, float]] = []
-    for cell in order:
-        i, j = divmod(int(cell), nu)
-        older = set()
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nv and 0 <= jj < nu:
-                    nb = ii * nu + jj
-                    if rank[nb] < rank[cell]:
-                        older.add(find(nb))
-        if not older:
+    def sweep():
+        # (padded cell, level) from highest to lowest.  Blocks keep the Python
+        # ints and floats of an early-stopped sweep to the part it visits.
+        for start in range(0, order.size, 4096):
+            block = order[start : start + 4096]
+            yield from zip(padded(block), flat[block].tolist())
+
+    for k, (cell, level) in enumerate(sweep()):
+        while w < len(watch):
+            peak, (birth, bound) = watch[w]
+            if peak in undecided and birth - level < bound:
+                break
+            w += 1
+        else:
+            break  # every peak has merged or can no longer fail
+        roots = {find(cell + o) for o in offsets if parent[cell + o] >= 0}
+        if not roots:
             parent[cell] = cell
-            birth_cell[cell] = cell
+            born[cell] = k
             continue
-        roots = sorted(older, key=lambda r: rank[r])
-        main = roots[0]
+        main = min(roots, key=born.__getitem__)
         parent[cell] = main
-        for other in roots[1:]:
-            birth = flat[birth_cell[other]]
-            pers = float(birth - flat[cell])
-            if pers >= ratio * abs(birth):
-                survived.append((birth_cell[other], float(birth), pers))
-            parent[other] = main
-    # The globally highest component never merges; it persists over the full range.
-    top = int(order[0])
-    survived.append((birth_cell[find(top)], float(flat[top]), float(flat[top] - flat[order[-1]])))
-    return survived
+        for other in roots:
+            if other != main:
+                parent[other] = main
+                if other in undecided:
+                    birth, bound = undecided.pop(other)
+                    if birth - level >= bound:
+                        kept.append(other)
+    kept.extend(undecided)
+    return survivors + [(c // width - 1) * nu + c % width - 1 for c in kept]
 
 
 def significant_extrema(
     grid: Grid2D, rel_floor: float = 1e-4, persistence_ratio: float = 1e-2
-) -> list[Feature]:
+) -> list[Extremum]:
     """Structural extrema of a slice, with sampling artifacts suppressed.
 
     The raw strict-neighbor census (``slice_extrema``) reports every grid
     wiggle, including aliasing duplicates along tilted ridges and roundoff
-    ripple in far tails.  This summary keeps one feature per genuine hill or
-    basin: peaks must survive a topological-persistence filter (persistence
-    at least ``persistence_ratio`` of their own height) and reach
-    ``rel_floor`` times the grid's maximum magnitude.  Sorted by |value|
-    descending.
+    ripple in far tails.  This summary keeps one extremum per genuine hill or
+    basin: an interior cell that reaches ``rel_floor`` times the grid's
+    maximum magnitude and whose topological persistence is at least
+    ``persistence_ratio`` of its own height.  Sorted by |value| descending;
+    exact ties go maxima first, then by row, then by column.
     """
     nv, nu = grid.values.shape
     if nv < 5 or nu < 5:
@@ -457,17 +491,15 @@ def significant_extrema(
     scale = float(np.max(np.abs(grid.values)))
     if scale == 0.0:
         return []
+    keep = np.abs(grid.values) >= rel_floor * scale
+    keep[[0, -1], :] = False  # interior features only, matching the raw census
+    keep[:, [0, -1]] = False
+    found = []
+    for kind, field in (("max", grid.values), ("min", -grid.values)):
+        for cell in _persistence_peaks(field, keep, persistence_ratio):
+            i, j = divmod(cell, nu)
+            found.append((-abs(float(grid.values[i, j])), kind, i, j))
+    found.sort()
     u = grid.u_coords()
     v = grid.v_coords()
-    out: list[Feature] = []
-    for kind, field in (("max", grid.values), ("min", -grid.values)):
-        for cell, birth, pers in _persistence_peaks(field, persistence_ratio):
-            value = float(grid.values.ravel()[cell])
-            if abs(value) < rel_floor * scale or pers < persistence_ratio * abs(birth):
-                continue
-            i, j = divmod(int(cell), nu)
-            if i in (0, nv - 1) or j in (0, nu - 1):
-                continue  # interior features only, matching the raw census
-            out.append(Feature(kind=kind, u=float(u[j]), v=float(v[i]), value=value, persistence=pers))
-    out.sort(key=lambda f: abs(f.value), reverse=True)
-    return out
+    return [Extremum(kind=kind, u=float(u[j]), v=float(v[i]), value=float(grid.values[i, j])) for _, kind, i, j in found]

@@ -7,6 +7,7 @@ adjudication at m >= 1, the crossing search) assert that the classification
 machinery ran and produced the required records, not a particular outcome.
 """
 
+import importlib.util
 import json
 import math
 import re
@@ -271,6 +272,14 @@ def test_criterion_07_figure_structure(tmp_path):
     _announce(7, "figure structure",
               f"closed form: xpx(3min/4max), pxpy(2max), xy central null, m=4(even min/3 interior max); "
               f"oracle censuses recorded: { {k: v for k, v in record.items() if k.startswith('oracle')} }")
+
+
+def test_figure_structure_doc_reproduces():
+    spec = importlib.util.spec_from_file_location("generate_docs", REPO / "scripts" / "generate_docs.py")
+    generate_docs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate_docs)
+    regenerated = ("\n".join(generate_docs.figure_structure_doc()) + "\n").encode()
+    assert regenerated == (REPO / "docs" / "figure-structure.md").read_bytes()
 
 
 def test_criterion_08_default_sweep(tmp_path):

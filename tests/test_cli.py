@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from qev.cli import main
-from qev.formats import read_grid_csv, read_meta_lines
+from qev.formats import FORMAT_VERSION, _meta_lines, fmt, read_grid_csv, read_meta_lines, write_grid_csv
+from qev.wigner import Grid2D
 
 
 def run(argv, capsys=None):
@@ -90,6 +91,31 @@ class TestSlice:
         code = main(["slice", "--m", "0", "--sigma-x", "1", "--sigma-y", "1",
                      "--plane", "xy", "--n", "33", "--out", "/nonexistent-dir/x.csv"])
         assert code == 3
+
+
+def _per_element_grid_csv(grid, meta):
+    """Reference writer: the grid CSV with ``fmt`` called on each numpy scalar."""
+    lines = [FORMAT_VERSION, "# kind=slice", f"# plane={grid.plane}"]
+    lines += [
+        f"# axis_u min={fmt(grid.axis_u[0])} max={fmt(grid.axis_u[1])} count={grid.axis_u[2]}",
+        f"# axis_v min={fmt(grid.axis_v[0])} max={fmt(grid.axis_v[1])} count={grid.axis_v[2]}",
+    ]
+    lines += _meta_lines(meta)
+    for row in grid.values:
+        lines.append(",".join(fmt(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_grid_csv_bytes_match_per_element_fmt(tmp_path):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((9, 11)) * 10.0 ** rng.uniform(-300, 300, size=(9, 11))
+    values[0, :6] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1e-310]
+    values[1, :3] = [-1.0, 1.0 - 2.0**-53, -7.5e-13]
+    grid = Grid2D(plane="xpy", axis_u=(-2.5, 2.5, 11), axis_v=(-1.0, 3.0, 9), values=values)
+    meta = {"m": 2, "pipeline": "oracle", "k_num": -0.1234567890123}
+    out = tmp_path / "g.csv"
+    write_grid_csv(out, grid, meta)
+    assert out.read_bytes() == _per_element_grid_csv(grid, meta)
 
 
 class TestValidate:

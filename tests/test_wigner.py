@@ -8,8 +8,10 @@ import pytest
 
 from qev.errors import ConfigError, NumericError
 from qev.numerics import gauss_hermite_rule
+from qev.oracle import oracle_slice
 from qev.state import QevParams
 from qev.wigner import (
+    PLANES,
     Grid2D,
     PhasePoint,
     alp_argument,
@@ -232,3 +234,150 @@ class TestSliceExtrema:
         feats = significant_extrema(wigner_slice(p, "xpx"))
         assert sum(1 for f in feats if f.kind == "min") == 3
         assert sum(1 for f in feats if f.kind == "max") == 4
+
+
+def _full_sweep_peaks(vals, ratio):
+    """Reference census: the persistence sweep over every cell, with no
+    early stop, as significant_extrema ran it before.  Lists stand in for
+    the rank and parent arrays only to keep the test fast."""
+    flat = vals.ravel()
+    nv, nu = vals.shape
+    order = np.argsort(flat, kind="stable")[::-1]
+    rank = np.empty(flat.size, dtype=np.int64)
+    rank[order] = np.arange(flat.size)
+    rank = rank.tolist()
+    parent = [-1] * flat.size
+    birth_cell = {}
+
+    def find(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    survived = []
+    for cell in order.tolist():
+        i, j = divmod(cell, nu)
+        older = set()
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == 0 and dj == 0:
+                    continue
+                ii, jj = i + di, j + dj
+                if 0 <= ii < nv and 0 <= jj < nu:
+                    nb = ii * nu + jj
+                    if rank[nb] < rank[cell]:
+                        older.add(find(nb))
+        if not older:
+            parent[cell] = cell
+            birth_cell[cell] = cell
+            continue
+        roots = sorted(older, key=lambda r: rank[r])
+        main = roots[0]
+        parent[cell] = main
+        for other in roots[1:]:
+            birth = flat[birth_cell[other]]
+            pers = float(birth - flat[cell])
+            if pers >= ratio * abs(birth):
+                survived.append((birth_cell[other], float(birth), pers))
+            parent[other] = main
+    top = int(order[0])
+    survived.append((birth_cell[find(top)], float(flat[top]), float(flat[top] - flat[order[-1]])))
+    return survived
+
+
+def _full_sweep_extrema(grid, rel_floor=1e-4, persistence_ratio=1e-2):
+    """The reference census's filter: (kind, u, v, value) of every kept peak."""
+    nv, nu = grid.values.shape
+    scale = float(np.max(np.abs(grid.values)))
+    if scale == 0.0:
+        return []
+    u, v = grid.u_coords(), grid.v_coords()
+    out = []
+    for kind, field in (("max", grid.values), ("min", -grid.values)):
+        for cell, birth, pers in _full_sweep_peaks(field, persistence_ratio):
+            value = float(grid.values.ravel()[cell])
+            if abs(value) < rel_floor * scale or pers < persistence_ratio * abs(birth):
+                continue
+            i, j = divmod(int(cell), nu)
+            if i in (0, nv - 1) or j in (0, nu - 1):
+                continue
+            out.append((kind, float(u[j]), float(v[i]), value))
+    return out
+
+
+def _assert_census_matches_full_sweep(grid):
+    got = [(e.kind, e.u, e.v, e.value) for e in significant_extrema(grid)]
+    assert sorted(got) == sorted(_full_sweep_extrema(grid))
+    # |value| descending; exact ties by kind, then row (v), then column (u)
+    assert got == sorted(got, key=lambda f: (-abs(f[3]), f[0], f[2], f[1]))
+
+
+def _gaussian_hills(rng, nv, nu):
+    """Broad positive hills with narrow negative bumps inside some of them,
+    plus a faint ripple that seeds low-persistence peaks."""
+    ii, jj = np.mgrid[0:nv, 0:nu].astype(float)
+    vals = 1e-3 * rng.standard_normal((nv, nu))
+    for _ in range(rng.integers(2, 6)):
+        ci, cj = rng.uniform(0, nv), rng.uniform(0, nu)
+        amp, width = rng.uniform(0.5, 2.0), rng.uniform(3.0, 9.0)
+        vals += amp * np.exp(-((ii - ci) ** 2 + (jj - cj) ** 2) / width**2)
+        if rng.random() < 0.7:
+            di, dj = rng.normal(0.0, width / 3, size=2)
+            depth = amp * rng.uniform(0.2, 3.0)
+            vals -= depth * np.exp(-((ii - ci - di) ** 2 + (jj - cj - dj) ** 2) / (width * rng.uniform(0.15, 0.5)) ** 2)
+    return vals
+
+
+class TestSignificantExtremaEquivalence:
+    """The early-stopped census keeps exactly the peaks of the full sweep."""
+
+    @pytest.mark.parametrize("m", range(5))
+    def test_slices_match_full_sweep(self, m):
+        seen = set()
+        for sx, sy in ((5.0, 3.0), (1.0, 1.0)):
+            for sign in (1, -1):
+                p = QevParams.from_sigma(m, sx, sy, sign=sign)
+                for plane in PLANES:
+                    for grid in (wigner_slice(p, plane, 65, 65), oracle_slice(p, plane, 65, 65)):
+                        key = grid.values.tobytes()
+                        if key not in seen:  # sign-blind slices repeat bit for bit
+                            seen.add(key)
+                            _assert_census_matches_full_sweep(grid)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gaussian_hills_with_negative_bumps(self, seed):
+        rng = np.random.default_rng(seed)
+        nv, nu = 37 + seed, 45
+        vals = _gaussian_hills(rng, nv, nu)
+        _assert_census_matches_full_sweep(Grid2D(plane="xy", axis_u=(-1, 1, nu), axis_v=(-2, 2, nv), values=vals))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_integer_fields_with_plateaus_and_ties(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        nv, nu = 31, 29 + seed
+        terraced = np.round(4.0 * _gaussian_hills(rng, nv, nu))
+        noise = rng.integers(-2, 3, size=(nv, nu)).astype(float)
+        for vals in (terraced, noise, terraced + noise):
+            _assert_census_matches_full_sweep(Grid2D(plane="xy", axis_u=(0, 1, nu), axis_v=(0, 1, nv), values=vals))
+
+    def test_exact_ties_order_by_kind_then_row_then_column(self):
+        vals = np.zeros((9, 9))
+        vals[6, 2] = vals[2, 6] = 1.0
+        vals[2, 2] = vals[6, 6] = -1.0
+        vals[4, 4] = 0.5
+        grid = Grid2D(plane="xy", axis_u=(0, 8, 9), axis_v=(0, 8, 9), values=vals)
+        got = [(e.kind, e.v, e.u) for e in significant_extrema(grid)]
+        assert got == [("max", 2.0, 6.0), ("max", 6.0, 2.0), ("min", 2.0, 2.0), ("min", 6.0, 6.0), ("max", 4.0, 4.0)]
+
+    def test_peak_exactly_at_the_persistence_bound_is_kept(self):
+        # the 100 peak merges into the 200 hill at level 99: persistence
+        # 1 == 0.01 * 100 exactly, while the 50 peak is still undecided
+        vals = np.zeros((9, 9))
+        vals[2, 2] = 50.0
+        vals[6, 2:5] = [100.0, 99.0, 200.0]
+        grid = Grid2D(plane="xy", axis_u=(0, 8, 9), axis_v=(0, 8, 9), values=vals)
+        _assert_census_matches_full_sweep(grid)
+        assert [e.value for e in significant_extrema(grid)] == [200.0, 100.0, 50.0]

@@ -8,9 +8,9 @@ The oracle's object is the defining transform
 and it never touches the paper's closed-form expression, so it can
 adjudicate it.  Two evaluators exist:
 
-* ``wigner_transform`` / ``transform_points`` integrate the oscillatory
-  integrand literally by Gauss-Hermite quadrature, with a reality-residual
-  check and order escalation at large momenta.  This is the arbiter behind
+* ``wigner_transform`` / ``transform_points`` sum the defining integral
+  of ``psi`` exactly as a finite Hermite-Fourier series, with a
+  reality-residual check.  This is the arbiter behind
   ``validate_closed_form``.
 
 * The exact Laguerre-Gauss form.  In scaled coordinates t = x/sigma_x,
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .numerics import QuadratureRule, gauss_hermite_rule, laguerre_general
 from .state import QevParams, _norm_constant_cached, intensity
-from .wigner import PLANES, Grid2D, PhasePoint, _axis_spec, _eta_coefficients, closed_form_norm_constant, wigner_closed
+from .wigner import PLANES, Grid2D, PhasePoint, _axis_spec, _closed_kernel, _eta_coefficients, closed_form_norm_constant
 
 __all__ = [
     "wigner_transform",
@@ -57,101 +57,106 @@ __all__ = [
     "oracle_covariance_entries",
     "REALITY_RESIDUAL_MAX",
     "MOMENTUM_CAP_SIGMA",
-    "escalated_order",
 ]
 
 REALITY_RESIDUAL_MAX = 1e-9
 MOMENTUM_CAP_SIGMA = 4.0  # validated |p| <= 4 / sigma_min
-DEFAULT_ORDER = 64
-ESCALATED_ORDER = 96
 # Largest caller-requested order of the integral lattices: a 16^4 lattice
 # is 0.5 MB per float64 array.  The minimal exact order is never capped.
 LATTICE_ORDER_CAP = 16
+# Bytes of coefficient tables one transform_points block may hold, so its
+# peak memory does not grow with the number of points.
+TRANSFORM_BLOCK_BYTES = 8 * 2**20
 
 
-def escalated_order(params: QevParams, p_x: float, p_y: float, base: int = DEFAULT_ORDER) -> int:
-    """Raise the rule order when the oscillation 2*p*sigma exceeds 8."""
-    osc = max(abs(2.0 * p_x * params.sigma_x), abs(2.0 * p_y * params.sigma_y))
-    return max(ESCALATED_ORDER, base) if osc > 8.0 else base
-
-
-def wigner_transform(params: QevParams, point: PhasePoint, rule: QuadratureRule | None = None) -> float:
-    """Wigner value at one point by direct quadrature of the defining integral.
+def wigner_transform(params: QevParams, point: PhasePoint) -> float:
+    """Wigner value at one point from the defining transform.
 
     Returns the real part; the imaginary residual must stay below
     ``REALITY_RESIDUAL_MAX`` (the distribution of a Hermitian density
-    operator is real), else a NumericError signals quadrature breakdown.
+    operator is real), else a NumericError is raised.
     """
-    if rule is not None and rule.order < 32:
-        raise ConfigError("wigner_transform requires a rule of order >= 32")
-    value, residual = transform_with_residual(params, point, rule)
-    if residual >= REALITY_RESIDUAL_MAX:
-        raise NumericError(
-            f"Wigner transform imaginary residual {residual:.3e} exceeds "
-            f"{REALITY_RESIDUAL_MAX:.1e} at {point}; raise the rule order"
+    return float(transform_points(params, np.array([[point.x, point.y, point.p_x, point.p_y]]))[0].real)
+
+
+def _block_points(m: int) -> int:
+    """Points per ``transform_points`` block within TRANSFORM_BLOCK_BYTES.
+
+    A point holds at most three complex (2m+1)^2 coefficient tables at once.
+    Raises ConfigError, before anything is allocated, when one point alone
+    exceeds the budget.
+    """
+    per_point = 3 * 16 * (2 * m + 1) ** 2
+    if per_point > TRANSFORM_BLOCK_BYTES:
+        raise ConfigError(
+            f"m = {m} needs {per_point} bytes per transform point, over the "
+            f"{TRANSFORM_BLOCK_BYTES}-byte block budget"
         )
-    return value
+    return TRANSFORM_BLOCK_BYTES // per_point
 
 
-def transform_with_residual(
-    params: QevParams, point: PhasePoint, rule: QuadratureRule | None = None
-) -> tuple[float, float]:
-    """(real value, imaginary residual) of the direct oscillatory transform."""
-    values = transform_points(
-        params, np.array([[point.x, point.y, point.p_x, point.p_y]]), rule, check_reality=False
-    )
-    return float(values.real[0]), float(abs(values.imag[0]))
+def _hermite_rows(a: np.ndarray, count: int) -> np.ndarray:
+    """(N, count) table of H_j(a) e^{-a^2}, j < count, by the three-term recurrence."""
+    rows = np.empty((a.size, count))
+    rows[:, 0] = np.exp(-a * a)
+    if count > 1:
+        rows[:, 1] = 2.0 * a * rows[:, 0]
+    for j in range(1, count - 1):
+        rows[:, j + 1] = 2.0 * a * rows[:, j] - 2.0 * j * rows[:, j - 1]
+    return rows
 
 
-def transform_points(
-    params: QevParams,
-    points: np.ndarray,
-    rule: QuadratureRule | None = None,
-    check_reality: bool = True,
-):
-    """Direct oscillatory transform for an (N, 4) array of phase points.
+def _hermite_fourier_sum(params: QevParams, pts: np.ndarray) -> np.ndarray:
+    """The transform at one block of points; see ``transform_points``."""
+    sx, sy, m, sign = params.sigma_x, params.sigma_y, params.m, params.sign
+    x, y, p_x, p_y = pts.T
+    a = x / (math.sqrt(2.0) * sx) - 1j * sign * y / (math.sqrt(2.0) * sy)
+    r = 1.0 / (2.0 * math.sqrt(2.0))
+    n = 2 * m + 1
+    # coefficients of L R with t -> i t/2 and s -> i s/2 folded in
+    coeffs = np.zeros((len(pts), n, n), dtype=np.complex128)
+    coeffs[:, 0, 0] = 1.0
+    for c0, ct, cs in [(a, 1j * r, sign * r)] * m + [(a.conj(), -1j * r, sign * r)] * m:
+        product = coeffs * c0[:, None, None]
+        product[:, 1:, :] += ct * coeffs[:, :-1, :]
+        product[:, :, 1:] += cs * coeffs[:, :, :-1]
+        coeffs = product
+    rows_t = _hermite_rows(sx * p_x, n)
+    rows_s = _hermite_rows(sy * p_y, n)
+    total = np.sum(np.sum(coeffs * rows_s[:, None, :], axis=2) * rows_t, axis=1)
+    n2 = _norm_constant_cached(params) ** 2
+    return (sx * sy * n2 / math.pi) * np.exp(-((x / sx) ** 2) - (y / sy) ** 2) * total
 
-    The u and v integration variables are scaled to the state's Gaussian
-    widths, under which the Gaussian part of the integrand cancels exactly
-    against the Hermite weight and only the vortex polynomial times the
-    Fourier kernel is summed.
+
+def transform_points(params: QevParams, points: np.ndarray, check_reality: bool = True):
+    """The defining transform at an (N, 4) array of phase points, summed exactly.
+
+    With u = sigma_x t, v = sigma_y s the integrand is e^{-t^2-s^2} L R
+    e^{2i(a t + b s)}, with a = sigma_x p_x, b = sigma_y p_y and the vortex
+    factors L = (A + (t - i sign s)/sqrt(2))^m of conj(psi)(x+u, y+v) and
+    R = (conj(A) - (t + i sign s)/sqrt(2))^m of psi(x-u, y-v), where
+    A = x/(sqrt(2) sigma_x) - i sign y/(sqrt(2) sigma_y).  The coefficients
+    of the degree-2m polynomial L R come from 2m shift-and-add products of
+    linear forms, and integral t^k e^{-t^2 + 2iat} dt =
+    sqrt(pi) (i/2)^k H_k(a) e^{-a^2}, so W is a finite sum over Hermite rows.
+    Blocks of points are sized from TRANSFORM_BLOCK_BYTES and do not change
+    any value.  Returns complex values; the imaginary parts are roundoff.
     """
     params.require_canonical()
-    if rule is None:
-        rule = gauss_hermite_rule(DEFAULT_ORDER)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ConfigError("points must be an (N, 4) array of (x, y, p_x, p_y)")
-    sx, sy = params.sigma_x, params.sigma_y
-    m, s = params.m, params.sign
-    n2 = _norm_constant_cached(params) ** 2
-    t = rule.nodes
-    w = rule.weights
-
-    x = pts[:, 0][:, None, None]
-    y = pts[:, 1][:, None, None]
-    px = pts[:, 2][:, None, None]
-    py = pts[:, 3][:, None, None]
-    u = (sx * t)[None, :, None]
-    v = (sy * t)[None, None, :]
-
-    a = 1.0 / (math.sqrt(2.0) * sx)
-    b = 1.0 / (math.sqrt(2.0) * sy)
-    left = (a * (x + u) - 1j * s * b * (y + v)) ** m
-    right = (a * (x - u) + 1j * s * b * (y - v)) ** m
-    kernel = np.exp(2j * (u * px + v * py))
-    w2 = w[None, :, None] * w[None, None, :]
-    node_sum = np.sum(w2 * left * right * kernel, axis=(1, 2))
-
-    envelope = np.exp(-((pts[:, 0] / sx) ** 2) - (pts[:, 1] / sy) ** 2)
-    values = (sx * sy * n2 / math.pi**2) * envelope * node_sum
-    if check_reality:
-        bad = np.abs(values.imag) >= REALITY_RESIDUAL_MAX
-        if np.any(bad):
-            worst = float(np.max(np.abs(values.imag)))
-            raise NumericError(
-                f"Wigner transform imaginary residual {worst:.3e} exceeds {REALITY_RESIDUAL_MAX:.1e}"
-            )
+    block = _block_points(params.m)
+    values = np.empty(len(pts), dtype=np.complex128)
+    for start in range(0, len(pts), block):
+        values[start : start + block] = _hermite_fourier_sum(params, pts[start : start + block])
+    imag = np.abs(values.imag)
+    if check_reality and np.any(imag >= REALITY_RESIDUAL_MAX):
+        worst = int(np.argmax(imag))
+        raise NumericError(
+            f"Wigner transform imaginary residual {imag[worst]:.3e} exceeds "
+            f"{REALITY_RESIDUAL_MAX:.1e} at point index {worst} {tuple(pts[worst])}"
+        )
     return values
 
 
@@ -323,7 +328,7 @@ class ValidationRecord:
     abs_err: float
     rel_err: float
     imag_residual: float
-    rule_order: int
+    rule_order: int  # Hermite terms per axis of the exact sum, 2m + 1
     verdict: str  # MATCH | MISMATCH
 
 
@@ -375,42 +380,27 @@ def validate_closed_form(
     seed: int,
     tol: float = 1e-6,
     abs_floor: float = 1e-12,
-    base_order: int = DEFAULT_ORDER,
 ) -> ValidationReport:
     """Adjudicate the closed form against the transform oracle point by point.
 
-    verdict is MATCH iff rel_err <= tol or abs_err <= abs_floor.
+    verdict is MATCH iff rel_err <= tol or abs_err <= abs_floor.  Both sides
+    are evaluated once over all points.  ``rule_order`` is the number of
+    Hermite terms per axis of the exact sum, 2m + 1, and
+    ``convergence_delta`` is |sum - Laguerre-Gauss W| at the first point.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
     params.require_canonical()
     pts = sample_phase_points(params, n_points, seed)
-
-    orders = np.array([escalated_order(params, p[2], p[3], base=base_order) for p in pts])
-    closed = np.array(
-        [wigner_closed(params, PhasePoint(p[0], p[1], p[2], p[3])) for p in pts]
-    )
-
-    oracle_vals = np.empty((n_points, 2))
-    for i in range(n_points):
-        raw = transform_points(
-            params, pts[i : i + 1], gauss_hermite_rule(int(orders[i])), check_reality=False
-        )[0]
-        oracle_vals[i] = (raw.real, abs(raw.imag))
-
-    worst_idx = int(np.argmax(oracle_vals[:, 1])) if n_points else 0
-    worst_imag = float(oracle_vals[worst_idx, 1]) if n_points else 0.0
-    if worst_imag >= REALITY_RESIDUAL_MAX:
-        raise NumericError(
-            f"oracle reality residual {worst_imag:.3e} exceeds {REALITY_RESIDUAL_MAX:.1e} "
-            f"at point index {worst_idx} {tuple(pts[worst_idx])}"
-        )
-
+    x, y, p_x, p_y = pts.T
+    closed = closed_form_norm_constant(params) * _closed_kernel(params, x, y, p_x, p_y)
+    oracle_vals = transform_points(params, pts)
+    order = 2 * params.m + 1
     records = []
     n_match = 0
     max_rel = 0.0
     for i in range(n_points):
-        o = float(oracle_vals[i, 0])
+        o = float(oracle_vals[i].real)
         c = float(closed[i])
         abs_err = abs(c - o)
         rel_err = abs_err / abs(o) if o != 0.0 else (0.0 if abs_err == 0.0 else math.inf)
@@ -426,19 +416,13 @@ def validate_closed_form(
                 oracle_value=o,
                 abs_err=abs_err,
                 rel_err=rel_err,
-                imag_residual=float(oracle_vals[i, 1]),
-                rule_order=int(orders[i]),
+                imag_residual=float(abs(oracle_vals[i].imag)),
+                rule_order=order,
                 verdict=verdict,
             )
         )
 
-    # Convergence probe at the first point: doubling the base order should
-    # move the oracle by less than 1e-8 when the quadrature is healthy.
-    probe = pts[0:1]
-    v1 = transform_points(params, probe, gauss_hermite_rule(DEFAULT_ORDER), check_reality=False)[0].real
-    v2 = transform_points(params, probe, gauss_hermite_rule(2 * DEFAULT_ORDER), check_reality=False)[0].real
-    delta = float(abs(v1 - v2))
-
+    delta = float(abs(oracle_vals[0].real - _exact_wigner(params, *pts[0])))
     return ValidationReport(
         params=params,
         seed=seed,
@@ -448,7 +432,7 @@ def validate_closed_form(
         n_match=n_match,
         n_mismatch=n_points - n_match,
         max_rel_err=max_rel,
-        rule_orders=tuple(sorted(set(int(o) for o in orders))),
+        rule_orders=(order,),
         convergence_delta=delta,
     )
 

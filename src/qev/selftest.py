@@ -200,15 +200,17 @@ def check_oracle_marginal(tol_scale: float) -> tuple[bool, str]:
 
 def check_oracle_reality(tol_scale: float) -> tuple[bool, str]:
     rng = np.random.default_rng(5)
-    worst = 0.0
+    worst_imag, worst_dev = 0.0, 0.0
     for p in _oracle_config_grid()[::7]:
         scales = np.array([p.sigma_x, p.sigma_y, 1 / p.sigma_x, 1 / p.sigma_y])
         pts = rng.normal(size=(8, 4)) * scales
         cap = oracle.MOMENTUM_CAP_SIGMA / min(p.sigma_x, p.sigma_y)
         pts[:, 2:] = np.clip(pts[:, 2:], -cap, cap)
-        vals = oracle.transform_points(p, pts, numerics.gauss_hermite_rule(64), check_reality=False)
-        worst = max(worst, float(np.max(np.abs(vals.imag))))
-    return worst <= 1e-9 * tol_scale, f"max imag residual {worst:.2e}"
+        vals = oracle.transform_points(p, pts, check_reality=False)
+        worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
+        worst_dev = max(worst_dev, float(np.max(np.abs(vals.real - oracle._exact_wigner(p, *pts.T)))))
+    ok = worst_imag <= 1e-9 * tol_scale and worst_dev <= 1e-8 * tol_scale
+    return ok, f"max imag residual {worst_imag:.2e}, max |sum - W| {worst_dev:.2e}"
 
 
 def _exact_closed_form_constant(m: int, sx: float, sy: float) -> float:
@@ -226,7 +228,7 @@ def _exact_closed_form_constant(m: int, sx: float, sy: float) -> float:
     return 1.0 / (math.pi**2 * float(total))
 
 
-def check_oracle_convergence(tol_scale: float) -> tuple[bool, str]:
+def check_oracle_exactness(tol_scale: float) -> tuple[bool, str]:
     rng = np.random.default_rng(3)
     worst = 0.0
     # the closed-form K_num against its exact moment series; at sigma =
@@ -239,14 +241,14 @@ def check_oracle_convergence(tol_scale: float) -> tuple[bool, str]:
     for p in (state.QevParams.from_sigma(3, 5.0, 3.0), state.QevParams.from_sigma(2, 0.5, 1.0)):
         scales = np.array([p.sigma_x, p.sigma_y, 1 / p.sigma_x, 1 / p.sigma_y])
         pts = rng.normal(size=(4, 4)) * scales * 0.8
-        a = oracle.transform_points(p, pts, numerics.gauss_hermite_rule(64), check_reality=False).real
-        b = oracle.transform_points(p, pts, numerics.gauss_hermite_rule(128), check_reality=False).real
-        worst = max(worst, float(np.max(np.abs(a - b))))
+        # the exact sum against the Laguerre-Gauss W at the same points
+        a = oracle.transform_points(p, pts, check_reality=False).real
+        worst = max(worst, float(np.max(np.abs(a - oracle._exact_wigner(p, *pts.T)))))
         # the minimal exact order and the next one must give the same norm
         n_min = oracle.wigner_norm(p, numerics.gauss_hermite_rule(p.m + 1))
         n_next = oracle.wigner_norm(p, numerics.gauss_hermite_rule(p.m + 2))
         worst = max(worst, abs(n_next - n_min))
-    return worst <= 1e-8 * tol_scale, f"max order-doubling delta {worst:.2e}"
+    return worst <= 1e-8 * tol_scale, f"max K_num/sum/norm-order delta {worst:.2e}"
 
 
 def check_adjudication_m0(tol_scale: float) -> tuple[bool, str]:
@@ -362,7 +364,7 @@ CHECKS = [
     ("oracle norm and purity", check_oracle_norm_purity),
     ("oracle marginal identity", check_oracle_marginal),
     ("oracle reality residual", check_oracle_reality),
-    ("oracle convergence under order doubling", check_oracle_convergence),
+    ("oracle exactness: K_num, sum vs W, minimal order", check_oracle_exactness),
     ("closed-form adjudication: m=0 control", check_adjudication_m0),
     ("closed-form adjudication: report integrity", check_adjudication_reports),
     ("entanglement calibration fixtures", check_entanglement_calibration),

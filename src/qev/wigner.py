@@ -51,8 +51,9 @@ __all__ = [
     "alp_argument",
 ]
 
-# 1 - rho within this many ulps of rho counts as zero (see _eta_coefficients).
-RHO_UNIT_ULPS = 4
+# Largest relative error of K_num the printed form may carry (see
+# _eta_coefficients): the selftest's closed-form norm gate.
+K_NUM_REL_ERR_MAX = 1e-8
 
 # plane tag -> (u axis, v axis); the complementary two coordinates are zero.
 PLANES = {
@@ -190,15 +191,21 @@ def _eta_coefficients(params: QevParams) -> tuple[np.ndarray, float]:
     With x = sigma_x t_x, y = sigma_y t_y, p_x = t_px / sigma_x and
     p_y = t_py / sigma_y (unit jacobian) the envelope is e^{-|t|^2} and the
     Laguerre argument is eta^2, eta = c . (t_x, t_y, t_px, t_py).  For
-    m >= 1 the printed form integrates to zero when rho = 1, so a 1 - rho
-    within ``RHO_UNIT_ULPS`` ulps of rho raises NumericError.
+    m >= 1 the printed form integrates to zero when rho = 1.  Near it, the
+    few ulps of rho that 1 - rho inherits from the rounded widths give
+    K_num ~ (1 - rho)^{-m} a relative error of about m eps rho / |1 - rho|;
+    above K_NUM_REL_ERR_MAX, NumericError is raised.
     """
     sx, sy = params.sigma_x, params.sigma_y
     denom = math.sqrt(sx**2 + sy**2)
     c = np.array([-sy * sx / (2.0 * sx) / denom, -sx * sy / (2.0 * sy) / denom, sy**3 / sx / denom, sx**3 / sy / denom])
     rho = float(c @ c)
-    if params.m >= 1 and abs(1.0 - rho) <= RHO_UNIT_ULPS * math.ulp(rho):
-        raise NumericError(f"the printed form cannot be normalised: rho = {rho!r} is 1 within rounding")
+    bound = params.m * math.ulp(1.0) * rho / abs(1.0 - rho) if rho != 1.0 else math.inf
+    if params.m >= 1 and bound > K_NUM_REL_ERR_MAX:
+        raise NumericError(
+            f"the printed form cannot be normalised: rho = {rho!r}, so K_num's relative error "
+            f"bound m*eps*rho/|1-rho| = {bound:.3e} exceeds {K_NUM_REL_ERR_MAX:.0e}"
+        )
     return c, rho
 
 

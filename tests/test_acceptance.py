@@ -123,7 +123,7 @@ def test_criterion_03_oracle_suite():
                 pts = rng.normal(size=(6, 4)) * scales
                 cap = oracle.MOMENTUM_CAP_SIGMA / min(sx, sy)
                 pts[:, 2:] = np.clip(pts[:, 2:], -cap, cap)
-                vals = oracle.transform_points(p, pts, numerics.gauss_hermite_rule(64), check_reality=False)
+                vals = oracle.transform_points(p, pts, check_reality=False)
                 worst["reality"] = max(worst["reality"], float(np.max(np.abs(vals.imag))))
     assert worst["norm"] <= 1e-8
     assert worst["purity"] <= 1e-6
@@ -274,12 +274,28 @@ def test_criterion_07_figure_structure(tmp_path):
               f"oracle censuses recorded: { {k: v for k, v in record.items() if k.startswith('oracle')} }")
 
 
-def test_figure_structure_doc_reproduces():
+def _generate_docs():
     spec = importlib.util.spec_from_file_location("generate_docs", REPO / "scripts" / "generate_docs.py")
     generate_docs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generate_docs)
-    regenerated = ("\n".join(generate_docs.figure_structure_doc()) + "\n").encode()
+    return generate_docs
+
+
+def test_figure_structure_doc_reproduces():
+    regenerated = ("\n".join(_generate_docs().figure_structure_doc()) + "\n").encode()
     assert regenerated == (REPO / "docs" / "figure-structure.md").read_bytes()
+
+
+def test_validation_doc_reproduces():
+    regenerated = ("\n".join(_generate_docs().validation_table()) + "\n").encode()
+    assert regenerated == (REPO / "docs" / "closed-form-validation.md").read_bytes()
+
+
+def test_sweep_docs_reproduce(tmp_path):
+    regenerated = ("\n".join(_generate_docs().sweep_docs(tmp_path)) + "\n").encode()
+    assert regenerated == (REPO / "docs" / "entanglement-sweep.md").read_bytes()
+    for name in ("sweep-closed-form.csv", "sweep-oracle.csv"):
+        assert (tmp_path / name).read_bytes() == (REPO / "docs" / name).read_bytes(), name
 
 
 def test_criterion_08_default_sweep(tmp_path):

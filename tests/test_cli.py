@@ -50,6 +50,17 @@ class TestSlice:
         assert code == 2
         assert "cannot be normalised" in capsys.readouterr().err
 
+    def test_ill_conditioned_closed_form_exits_2(self, tmp_path, capsys):
+        # 8 ulps from rho = 1: K_num's relative error bound is 0.75, so the
+        # slice would be 1e44-sized noise
+        out = tmp_path / "g.csv"
+        code = main(["slice", "--m", "3", "--sigma-x", "0.866025403784438",
+                     "--sigma-y", "0.866025403784438", "--plane", "xy", "--n", "9", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot be normalised" in err and "rho = 0.9999999999999991" in err
+        assert not out.exists()
+
     def test_paper_literal_pipeline_rejected(self, tmp_path):
         code = main(["slice", "--m", "1", "--sigma-x", "1", "--sigma-y", "1", "--plane", "xy",
                      "--n", "9", "--pipeline", "paper-literal", "--out", str(tmp_path / "p.csv")])

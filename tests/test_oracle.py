@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import laguerre as npl
 
+from qev import oracle
 from qev.errors import ConfigError
 from qev.numerics import gauss_hermite_rule, laguerre_assoc_half
 from qev.oracle import (
+    MOMENTUM_CAP_SIGMA,
+    _block_points,
     _closed_form_marginal,
     _exact_wigner,
-    escalated_order,
     marginal_check,
     oracle_covariance_entries,
     sample_phase_points,
@@ -23,7 +25,7 @@ from qev.oracle import (
     wigner_purity,
     wigner_transform,
 )
-from qev.state import QevParams
+from qev.state import QevParams, _norm_constant_cached
 from qev.wigner import PhasePoint, alp_argument, closed_form_norm_constant
 
 SIGMA_PAIRS = [(0.5, 0.5), (0.5, 3.0), (1.0, 1.0), (3.0, 5.0), (5.0, 3.0), (5.0, 5.0)]
@@ -43,6 +45,38 @@ def rotated_mode_wigner(params, x, y, px, py):
     arg = (u + s * qv) ** 2 + (v - s * qu) ** 2
     lag = npl.lagval(arg, [0.0] * m + [1.0])
     return ((-1.0) ** m / math.pi**2) * math.exp(-(u * u + v * v + qu * qu + qv * qv)) * lag
+
+
+def quadrature_transform(params, pts, order):
+    """Reference: the defining transform by an order x order Gauss-Hermite
+    rule, one oscillatory integrand per point.  The u and v integration
+    variables are scaled to the state's Gaussian widths, under which the
+    Gaussian part cancels against the Hermite weight."""
+    rule = gauss_hermite_rule(order)
+    sx, sy, m, s = params.sigma_x, params.sigma_y, params.m, params.sign
+    t, w = rule.nodes, rule.weights
+    u = (sx * t)[:, None]
+    v = (sy * t)[None, :]
+    a = 1.0 / (math.sqrt(2.0) * sx)
+    b = 1.0 / (math.sqrt(2.0) * sy)
+    w2 = w[:, None] * w[None, :]
+    out = np.empty(len(pts), dtype=complex)
+    for i, (x, y, px, py) in enumerate(pts):
+        left = (a * (x + u) - 1j * s * b * (y + v)) ** m
+        right = (a * (x - u) + 1j * s * b * (y - v)) ** m
+        node_sum = np.sum(w2 * left * right * np.exp(2j * (u * px + v * py)))
+        envelope = math.exp(-((x / sx) ** 2) - (y / sy) ** 2)
+        out[i] = (sx * sy * _norm_constant_cached(params) ** 2 / math.pi**2) * envelope * node_sum
+    return out
+
+
+def cap_points(params, count, seed):
+    """Sampled phase points plus points with both momenta at the validated cap."""
+    cap = MOMENTUM_CAP_SIGMA / min(params.sigma_x, params.sigma_y)
+    pts = sample_phase_points(params, count, seed)
+    corners = pts[:8].copy()
+    corners[:, 2:] = cap * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]] * 2)
+    return np.vstack([pts, corners])
 
 
 class TestTransform:
@@ -80,7 +114,7 @@ class TestTransform:
         p = QevParams.from_sigma(3, 5.0, 3.0)
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(20, 4)) * np.array([5, 3, 0.2, 1 / 3])
-        direct = transform_points(p, pts, gauss_hermite_rule(64), check_reality=False)
+        direct = transform_points(p, pts, check_reality=False)
         exact = _exact_wigner(p, *pts.T)
         assert np.max(np.abs(direct.real - exact)) < 1e-13
         assert np.max(np.abs(direct.imag)) < 1e-12
@@ -91,19 +125,40 @@ class TestTransform:
     def test_exact_evaluator_matches_transform(self, m, sign, sx, sy):
         p = QevParams.from_sigma(m, sx, sy, sign=sign)
         pts = sample_phase_points(p, 300, seed=100 + m)
-        orders = np.array([escalated_order(p, q[2], q[3]) for q in pts])
-        want = np.empty(len(pts))
-        for order in np.unique(orders):
-            sel = orders == order
-            want[sel] = transform_points(p, pts[sel], gauss_hermite_rule(int(order))).real
+        want = transform_points(p, pts).real
         np.testing.assert_allclose(_exact_wigner(p, *pts.T), want, rtol=1e-8, atol=1e-12)
+
+    @pytest.mark.parametrize("m", range(9))
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("sx,sy", [(1.0, 1.0), (5.0, 3.0), (3.0, 5.0)])
+    def test_sum_matches_quadrature_reference(self, m, sign, sx, sy):
+        # a 96^2 rule resolves the kernel e^{2i a t} up to the cap here, where
+        # |a| = sigma |p| <= 4 sigma_max / sigma_min = 20/3
+        p = QevParams.from_sigma(m, sx, sy, sign=sign)
+        pts = cap_points(p, 16, seed=200 + m)
+        want = quadrature_transform(p, pts, 96)
+        got = transform_points(p, pts)
+        scale = np.max(np.abs(want.real))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        p = QevParams.from_sigma(5, 5.0, 3.0, sign=-1)
+        pts = cap_points(p, 40, seed=4)
+        full = transform_points(p, pts, check_reality=False)
+        assert _block_points(p.m) >= len(pts)
+        per_point = 3 * 16 * (2 * p.m + 1) ** 2
+        for block in (1, 7, 16):
+            monkeypatch.setattr(oracle, "TRANSFORM_BLOCK_BYTES", block * per_point)
+            assert _block_points(p.m) == block
+            blocked = transform_points(p, pts, check_reality=False)
+            assert blocked.tobytes() == full.tobytes()
 
     def test_reality_enforced(self):
         p = QevParams.from_sigma(2, 1.0, 1.0)
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(30, 4))
         pts[:, 2:] = np.clip(pts[:, 2:], -4, 4)
-        vals = transform_points(p, pts, gauss_hermite_rule(64), check_reality=False)
+        vals = transform_points(p, pts, check_reality=False)
         assert np.max(np.abs(vals.imag)) < 1e-9
 
     def test_bad_points_shape(self):
@@ -111,10 +166,24 @@ class TestTransform:
         with pytest.raises(ConfigError):
             transform_points(p, np.zeros((3, 3)))
 
-    def test_order_escalation_rule(self):
+    def test_rule_order_counts_hermite_terms(self):
+        # one exact sum at every momentum: no order escalation
         p = QevParams.from_sigma(1, 5.0, 3.0)
-        assert escalated_order(p, 0.1, 0.1) == 64
-        assert escalated_order(p, 1.0, 0.0) == 96  # 2*p*sigma_x = 10 > 8
+        rep = validate_closed_form(p, 50, seed=3)
+        assert rep.rule_orders == (3,)
+        assert {r.rule_order for r in rep.records} == {3}
+
+    def test_block_estimator_bounds_memory(self, monkeypatch):
+        # only the estimator runs on the oversized cases: nothing is allocated
+        for m in (0, 1, 5, 8, 100):
+            block = _block_points(m)
+            assert block >= 1
+            assert block * 3 * 16 * (2 * m + 1) ** 2 <= oracle.TRANSFORM_BLOCK_BYTES
+        with pytest.raises(ConfigError, match="block budget"):
+            _block_points(10**4)
+        monkeypatch.setattr(oracle, "TRANSFORM_BLOCK_BYTES", 100)
+        with pytest.raises(ConfigError, match="block budget"):
+            transform_points(QevParams.from_sigma(1, 1.0, 1.0), np.zeros((1, 4)))
 
 
 class TestNormAndPurity:

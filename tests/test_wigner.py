@@ -99,6 +99,15 @@ class TestWignerClosed:
         m0 = QevParams.from_sigma(0, math.sqrt(3.0) / 2.0, math.sqrt(3.0) / 2.0)
         assert closed_form_norm_constant(m0) == pytest.approx(1.0 / math.pi**2, rel=1e-15)
 
+    def test_conditioning_bound_near_rho_one(self):
+        # equal widths sigma give rho = 1/4 + sigma^2, so sigma^2 = 3/4 + d
+        # puts 1 - rho at -d; the bound 3 eps rho / d crosses 1e-8 near d = 7e-8
+        well = QevParams.from_sigma(3, math.sqrt(0.75 + 1e-4), math.sqrt(0.75 + 1e-4))
+        assert closed_form_norm_constant(well) == pytest.approx(-4.0**3 / (math.pi**2 * 20 * 1e-12), rel=1e-6)
+        ill = QevParams.from_sigma(3, math.sqrt(0.75 + 1e-10), math.sqrt(0.75 + 1e-10))
+        with pytest.raises(NumericError, match=r"rho = 1\.0000000001.*exceeds 1e-08"):
+            closed_form_norm_constant(ill)
+
     def test_reference_constant_ratio(self):
         p = QevParams.from_sigma(3, 5.0, 3.0)
         ref = closed_form_reference_constant(p)

@@ -4,21 +4,20 @@ entanglement evaluation, parameter sweeps, and the selftest suite.
 Exit codes: 0 success, 1 usage/config, 2 numeric failure, 3 I/O failure
 (validate also exits 3 when any point MISMATCHes, selftest exits 3 on any
 failed check).  All outputs are deterministic byte-for-byte for identical
-flags and seeds; ``--threads`` never changes output bytes.
+flags and seeds.  Every command runs on one thread; ``--threads`` is
+validated and changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import formats
 from .entanglement import entanglement_of, log_negativity, tmsv_covariance
 from .errors import ConfigError, DomainError, NumericError
-from .numerics import gauss_hermite_rule
 from .oracle import oracle_slice, validate_closed_form
 from .selftest import run_selftest
 from .state import QevParams, normalization_constant
@@ -77,9 +76,9 @@ def _resolve(args, config: dict, key: str, default, cast):
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default: all cores; never changes output bytes)")
+    parser.add_argument("--threads", type=int, default=None, help="accepted and validated (>= 1); every command runs on one thread")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
-    parser.add_argument("--quad-order", type=int, default=None, help="order of the oracle's integration rules (default 64); changes no value in validate")
+    parser.add_argument("--quad-order", type=int, default=None, help="accepted and validated; slice records it as quad_order; changes no value in any command")
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -115,11 +114,18 @@ def _params_from(args, config: dict) -> QevParams:
     return QevParams(m=m, zeta_x=zx, zeta_y=zy, sign=sign)
 
 
-def _threads(args, config: dict) -> int:
-    n = _resolve(args, config, "threads", os.cpu_count() or 1, int)
-    if n < 1:
+def _command_config(args) -> dict[str, str]:
+    """Load ``--config`` and validate the flags every command accepts.
+
+    ``--threads`` must be >= 1 and ``--quad-order`` an integer, but neither
+    changes a value: every command runs on one thread, and every integral is
+    an exact sum or a closed form that picks its own order.
+    """
+    config = _load_config(args.config)
+    if _resolve(args, config, "threads", 1, int) < 1:
         raise UsageError("--threads must be >= 1")
-    return n
+    _resolve(args, config, "quad_order", 64, int)
+    return config
 
 
 def _params_meta(params: QevParams) -> dict:
@@ -139,7 +145,7 @@ def _params_meta(params: QevParams) -> dict:
 
 
 def cmd_slice(args) -> int:
-    config = _load_config(args.config)
+    config = _command_config(args)
     params = _params_from(args, config)
     plane = _resolve(args, config, "plane", None, str)
     if plane is None or plane not in PLANES:
@@ -152,11 +158,10 @@ def cmd_slice(args) -> int:
     fmt_kind = _resolve(args, config, "format", "csv", str)
     if fmt_kind not in ("csv", "pgm"):
         raise UsageError("--format must be csv or pgm")
-    threads = _threads(args, config)
     order = _resolve(args, config, "quad_order", 64, int)
 
     if pipeline == "closed-form":
-        grid = wigner_slice(params, plane, axis_u=n, axis_v=n, threads=threads)
+        grid = wigner_slice(params, plane, axis_u=n, axis_v=n)
         k_num = closed_form_norm_constant(params)
         k_ref = closed_form_reference_constant(params)
         extra = {"k_num": k_num, "k_reference": k_ref, "k_ratio": k_num / k_ref}
@@ -196,7 +201,7 @@ def cmd_slice(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _load_config(args.config)
+    config = _command_config(args)
     params = _params_from(args, config)
     n_points = _resolve(args, config, "n_points", 200, int)
     seed = _resolve(args, config, "seed", 1, int)
@@ -205,8 +210,6 @@ def cmd_validate(args) -> int:
     out = _resolve(args, config, "out", None, str)
     if out is None:
         raise UsageError("--out is required")
-    _threads(args, config)  # validated, but the adjudication runs on one thread
-    _resolve(args, config, "quad_order", 64, int)  # validated; the exact sum takes no order
 
     report = validate_closed_form(params, n_points, seed, tol=tol, abs_floor=abs_floor)
     n_num, ratio = normalization_constant(params)
@@ -235,7 +238,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    config = _load_config(args.config)
+    config = _command_config(args)
     fixture = _resolve(args, config, "fixture", None, str)
     out = _resolve(args, config, "out", None, str)
     lines: list[str] = [formats.FORMAT_VERSION, "# kind=entanglement"]
@@ -252,8 +255,7 @@ def cmd_entangle(args) -> int:
     else:
         params = _params_from(args, config)
         pipeline = _resolve(args, config, "pipeline", "oracle", str)
-        order = _resolve(args, config, "quad_order", 64, int)
-        cov, report = entanglement_of(params, pipeline=pipeline, rule=gauss_hermite_rule(order))
+        cov, report = entanglement_of(params, pipeline=pipeline)
         for key, value in _params_meta(params).items():
             lines.append(f"# {key}={value if isinstance(value, str) else formats.fmt(value) if isinstance(value, float) else value}")
         lines.append(f"# pipeline={report.pipeline}")
@@ -291,7 +293,7 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = _command_config(args)
     out = _resolve(args, config, "out", None, str)
     if out is None:
         raise UsageError("--out is required")
@@ -318,14 +320,13 @@ def cmd_sweep(args) -> int:
             m_list=m_list,
             pipeline=_resolve(args, config, "pipeline", "closed-form", str),
             sign=_resolve(args, config, "sign", 1, int),
-            quad_order=_resolve(args, config, "quad_order", 64, int),
         )
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
     if sweep_config.pipeline not in ("closed-form", "oracle"):
         raise UsageError("--pipeline must be closed-form or oracle")
 
-    result = run_sweep(sweep_config, threads=_threads(args, config))
+    result = run_sweep(sweep_config)
     lines = sweep_csv_lines(result, extra_meta={"relation": relation})
     try:
         Path(out).write_text("\n".join(lines) + "\n")
@@ -353,7 +354,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    config = _load_config(args.config)
+    config = _command_config(args)
     tol_scale = _resolve(args, config, "tol_scale", 1.0, float)
     verbose = bool(getattr(args, "verbose", False))
     return run_selftest(tol_scale=tol_scale, verbose=verbose)

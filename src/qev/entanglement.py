@@ -8,6 +8,11 @@ E_N = max(0, -ln(2 nu_min)).
 
 For vorticity m >= 1 the state itself is not Gaussian; covariance-based
 reports for those states are labeled as Gaussian approximations.
+
+The oracle pipeline's covariance integrates the wavefunction itself: every
+moment integrand is a Gaussian times a polynomial of degree at most 2m + 2
+per axis, so the matched Hermite lattice of order m + 2 per axis is exact,
+and the fourteen moments come out of one stacked reduction over it.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .numerics import QuadratureRule, gauss_hermite_rule
-from .oracle import oracle_covariance_entries
+from .oracle import _lattice, oracle_covariance_entries
 from .state import QevParams, psi, psi_gradient
 from .wigner import _eta_coefficients
 
@@ -108,7 +112,8 @@ def _det2(block: np.ndarray) -> float:
 def _symplectic_pair(cov: CovarianceMatrix, transposed: bool) -> tuple[float, float]:
     sign = -2.0 if transposed else 2.0
     delta = _det2(cov.alpha) + _det2(cov.beta) + sign * _det2(cov.mu)
-    disc = delta * delta - 4.0 * cov.det_sigma()
+    det = cov.det_sigma()
+    disc = delta * delta - 4.0 * det
     # The difference cancels catastrophically for (near-)degenerate spectra
     # and the square root amplifies 1e-16 noise to 1e-8, so residue at the
     # roundoff scale of delta^2 is treated as an exactly degenerate spectrum.
@@ -123,7 +128,6 @@ def _symplectic_pair(cov: CovarianceMatrix, transposed: bool) -> tuple[float, fl
     # The smaller root via the product identity nu+^2 nu-^2 = det Sigma;
     # the difference form (delta - root)/2 cancels catastrophically when
     # delta >> det Sigma (strongly squeezed states).
-    det = cov.det_sigma()
     if det < -1e-12:
         raise NumericError("covariance determinant is negative")
     lo = max(det, 0.0) / hi
@@ -191,67 +195,60 @@ def _assemble(entries: dict[str, float]) -> CovarianceMatrix:
     return CovarianceMatrix(sigma=mat)
 
 
-def _wavefunction_entries(params: QevParams, order: int) -> dict[str, float]:
-    """Second moments directly from psi on a matched Hermite lattice.
+def _wavefunction_entries(params: QevParams) -> dict[str, float]:
+    """First and second moments directly from psi on the minimal exact lattice.
 
     Position moments come from |psi|^2, momentum moments from the analytic
     gradient: <p_u^2> = int |d_u psi|^2, symmetrized <u p_u> = Im int
     conj(psi) u d_u psi, <u p_v> = Im int conj(psi) u d_v psi, and
-    <p_x p_y> = Re int conj(d_x psi) d_y psi.  All integrands are Gaussians
-    times polynomials, so the rule is exact for order > m + 1.
+    <p_x p_y> = Re int conj(d_x psi) d_y psi.  With x = sigma_x t and
+    y = sigma_y s every integrand is e^{-t^2-s^2} times a polynomial of
+    degree at most 2m + 2 per axis, so order m + 2 is exact (m + 1 is not).
     """
-    rule = gauss_hermite_rule(order)
+    (t, s), w2 = _lattice(params.m + 2, 2)
     sx, sy = params.sigma_x, params.sigma_y
-    x = sx * rule.nodes[:, None]
-    y = sy * rule.nodes[None, :]
-    # e^{+t^2+s^2} correction folded into the 2D weights (jacobian sx*sy)
-    w2 = rule.weights[:, None] * rule.weights[None, :] * sx * sy
-    corr = np.exp(rule.nodes[:, None] ** 2 + rule.nodes[None, :] ** 2)
-    w2 = w2 * corr
+    x, y = sx * t, sy * s
+    # psi carries the Gaussian the weights already hold: undo it (jacobian sx*sy)
+    w2 = (w2 * np.exp(t * t + s * s) * (sx * sy)).ravel()
 
     value = psi(params, x, y)
     dx, dy = psi_gradient(params, x, y)
     dens = (value.conjugate() * value).real
-
-    def integ(arr) -> float:
-        return float(np.sum(w2 * arr))
-
-    return {
-        "xx": integ(dens * x * x),
-        "yy": integ(dens * y * y),
-        "xy": integ(dens * x * y),
-        "pxpx": integ((dx.conjugate() * dx).real),
-        "pypy": integ((dy.conjugate() * dy).real),
-        "pxpy": integ((dx.conjugate() * dy).real),
-        "xpx": integ((value.conjugate() * x * dx).imag),
-        "ypy": integ((value.conjugate() * y * dy).imag),
-        "xpy": integ((value.conjugate() * x * dy).imag),
-        "ypx": integ((value.conjugate() * y * dx).imag),
-        "x": integ(dens * x),
-        "y": integ(dens * y),
-        "p_x": integ((value.conjugate() * dx).imag),
-        "p_y": integ((value.conjugate() * dy).imag),
+    cx, cy = value.conjugate() * dx, value.conjugate() * dy
+    integrands = {
+        "xx": dens * x * x,
+        "yy": dens * y * y,
+        "xy": dens * x * y,
+        "pxpx": (dx.conjugate() * dx).real,
+        "pypy": (dy.conjugate() * dy).real,
+        "pxpy": (dx.conjugate() * dy).real,
+        "xpx": (cx * x).imag,
+        "ypy": (cy * y).imag,
+        "xpy": (cy * x).imag,
+        "ypx": (cx * y).imag,
+        "x": dens * x,
+        "y": dens * y,
+        "p_x": cx.imag,
+        "p_y": cy.imag,
     }
+    # one reduction for all fourteen: a (14, k^2) matrix times the weights
+    totals = np.stack(list(integrands.values())).reshape(len(integrands), -1) @ w2
+    return dict(zip(integrands, totals.tolist()))
 
 
-def second_moments(
-    params: QevParams,
-    rule: QuadratureRule | None = None,
-    method: str = "wavefunction",
-) -> CovarianceMatrix:
+def second_moments(params: QevParams, method: str = "wavefunction") -> CovarianceMatrix:
     """Covariance matrix of the (unit-normalized) state.
 
     ``wavefunction`` integrates psi directly; ``wigner4d`` integrates the
-    transform oracle's Wigner function against the quadratic observables.
-    The two must agree; the test suite pins relative 1e-5.
+    state's Wigner function against the quadratic observables.  Both are
+    exact lattice sums; the test suite pins their agreement to relative 1e-5.
 
     Raises NumericError when the result violates the uncertainty bound.
     """
-    order = rule.order if rule is not None else 64
     if method == "wavefunction":
-        entries = _wavefunction_entries(params, min(order, 96))
+        entries = _wavefunction_entries(params)
     elif method == "wigner4d":
-        entries = oracle_covariance_entries(params, rule)
+        entries = oracle_covariance_entries(params)
     else:
         raise ConfigError(f"unknown moment method {method!r}")
     first = [entries[k] for k in ("x", "y", "p_x", "p_y")]
@@ -288,16 +285,16 @@ def closed_form_second_moments(params: QevParams) -> CovarianceMatrix:
     return CovarianceMatrix(sigma=(scale[:, None] * matched * scale[None, :])[np.ix_(order, order)])
 
 
-def entanglement_of(params: QevParams, pipeline: str = "oracle", rule: QuadratureRule | None = None) -> tuple[CovarianceMatrix, EntanglementReport]:
+def entanglement_of(params: QevParams, pipeline: str = "oracle") -> tuple[CovarianceMatrix, EntanglementReport]:
     """Covariance + report for one state through the selected pipeline.
 
     ``oracle`` builds the covariance from the state itself (wavefunction
-    moments, on ``rule``); ``closed-form`` builds it from the literal
-    closed-form distribution, exactly.
+    moments); ``closed-form`` builds it from the literal closed-form
+    distribution, exactly.
     """
     notes = (GAUSSIAN_APPROX_NOTE,) if params.m > 0 else ()
     if pipeline == "oracle":
-        cov = second_moments(params, rule, method="wavefunction")
+        cov = second_moments(params, method="wavefunction")
     elif pipeline == "closed-form":
         cov = closed_form_second_moments(params)
     else:

@@ -12,7 +12,6 @@ c1 = 1 with the same intercept.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,6 @@ class SweepConfig:
     m_list: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     pipeline: str = "closed-form"
     sign: int = 1
-    quad_order: int = 64
 
     def __post_init__(self) -> None:
         if not self.zeta_x_min < self.zeta_x_max:
@@ -99,10 +97,7 @@ class SweepResult:
 
 
 def _en_at(config: SweepConfig, zeta_x: float, m: int) -> float:
-    from .numerics import gauss_hermite_rule
-
-    rule = gauss_hermite_rule(config.quad_order)
-    _, report = entanglement_of(config.params_at(zeta_x, m), pipeline=config.pipeline, rule=rule)
+    _, report = entanglement_of(config.params_at(zeta_x, m), pipeline=config.pipeline)
     return report.log_negativity
 
 
@@ -122,51 +117,26 @@ def _side_label(value: float, lo: int, hi: int) -> str:
     return f"m={hi} higher" if value > 0 else f"m={lo} higher"
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the monotone over the grid, then bracket and refine crossings.
 
-    A numeric failure at any grid point stops the scan; the rows computed so
-    far are retained and the failure is recorded so the writer can append a
-    FAILED sentinel.
+    Points run in grid order.  A numeric failure at any point stops the
+    scan; the rows computed so far are retained and the failure is recorded
+    so the writer can append a FAILED sentinel.
     """
     zeta = np.linspace(config.zeta_x_min, config.zeta_x_max, config.n_steps)
     sigma = np.exp(2.0 * zeta)
     en = np.full((config.n_steps, len(config.m_list)), np.nan)
 
-    # Points start in index order, so a point that sees a failure lies after
-    # the failed one: the scan stops there and never reads the skipped row.
-    failed = threading.Event()
-
-    def point_row(i: int) -> tuple[int, list[float] | QevError | None]:
-        if failed.is_set():
-            return i, None
-        try:
-            return i, [_en_at(config, float(zeta[i]), m) for m in config.m_list]
-        except QevError as exc:
-            failed.set()
-            return i, exc
-
     failure = None
     n_completed = 0
-    pool = None
-    if threads <= 1:
-        results = map(point_row, range(config.n_steps))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(point_row, range(config.n_steps))
-    try:
-        for i, row in results:
-            if isinstance(row, QevError):
-                failure = f"point {i} (zeta_x={zeta[i]:.6f}): {row}"
-                break
-            en[i] = row
-            n_completed += 1
-    finally:
-        if pool is not None:
-            # Drop queued points and wait for running ones: no work outlives the call.
-            pool.shutdown(wait=True, cancel_futures=True)
+    for i, z in enumerate(zeta.tolist()):
+        try:
+            en[i] = [_en_at(config, z, m) for m in config.m_list]
+        except QevError as exc:
+            failure = f"point {i} (zeta_x={z:.6f}): {exc}"
+            break
+        n_completed += 1
 
     crossings: list[CrossingReport] = []
     orderings: list[str] = []

@@ -263,14 +263,11 @@ def wigner_slice(
     plane: str,
     axis_u: tuple[float, float, int] | int | None = None,
     axis_v: tuple[float, float, int] | int | None = None,
-    threads: int = 1,
 ) -> Grid2D:
     """Evaluate the closed form on a 2D grid with the other two coordinates zero.
 
     ``axis_u``/``axis_v`` may be (min, max, count) triples, a bare count (the
-    default window is used), or None (257-point default window).  Rows are
-    evaluated in parallel when threads > 1; assembly order is fixed, so the
-    output is independent of the thread count.
+    default window is used), or None (257-point default window).
     """
     params.require_canonical()
     if plane not in PLANES:
@@ -284,24 +281,10 @@ def wigner_slice(
     v = np.linspace(spec_v[0], spec_v[1], spec_v[2])
     k_num = closed_form_norm_constant(params)
 
-    uu = u[None, :]
-
-    def eval_rows(v_chunk: np.ndarray) -> np.ndarray:
-        coords = {"x": 0.0, "y": 0.0, "p_x": 0.0, "p_y": 0.0}
-        coords[name_u] = uu
-        coords[name_v] = v_chunk[:, None]
-        return k_num * _closed_kernel(params, coords["x"], coords["y"], coords["p_x"], coords["p_y"])
-
-    if threads <= 1 or spec_v[2] < 4:
-        values = eval_rows(v)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(spec_v[2]), min(threads, spec_v[2]))
-        values = np.empty((spec_v[2], spec_u[2]))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, block in zip(chunks, pool.map(lambda c: eval_rows(v[c]), chunks)):
-                values[idx] = block
+    coords = {"x": 0.0, "y": 0.0, "p_x": 0.0, "p_y": 0.0}
+    coords[name_u] = u[None, :]
+    coords[name_v] = v[:, None]
+    values = k_num * _closed_kernel(params, coords["x"], coords["y"], coords["p_x"], coords["p_y"])
 
     return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=values)
 

@@ -274,3 +274,11 @@ class TestConfigPrecedence:
 
     def test_missing_config_file(self):
         assert main(["entangle", "--config", "/no/such/file"]) == 1
+
+    @pytest.mark.parametrize("command", ["slice", "validate", "entangle", "sweep", "selftest"])
+    def test_shared_flags_validated_everywhere(self, tmp_path, command):
+        # --threads and --quad-order change no value but stay validated
+        assert main([command, "--threads", "0"]) == 1
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("quad-order=many\n")
+        assert main([command, "--config", str(cfg)]) == 1

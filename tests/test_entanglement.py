@@ -19,7 +19,7 @@ from qev.entanglement import (
 )
 from qev.errors import ConfigError, NumericError
 from qev.numerics import gauss_hermite_rule, laguerre_assoc_half
-from qev.state import QevParams
+from qev.state import QevParams, psi, psi_gradient
 from qev.wigner import alp_argument
 
 SIGMA_GRID = (0.5, 1.0, 3.0, 5.0)
@@ -159,6 +159,44 @@ class TestSecondMoments:
             for sx, sy in ((0.5, 0.5), (5.0, 3.0), (1.0, 5.0)):
                 cov = second_moments(QevParams.from_sigma(m, sx, sy))
                 assert min(symplectic_eigen_physical(cov)) >= 0.5 - 1e-9
+
+    @staticmethod
+    def _lattice_moments(params, order):
+        # the wavefunction integration on an order^2 matched lattice, one
+        # np.sum per entry, kept here as the reference at order 64
+        rule = gauss_hermite_rule(order)
+        sx, sy = params.sigma_x, params.sigma_y
+        x, y = sx * rule.nodes[:, None], sy * rule.nodes[None, :]
+        w2 = rule.weights[:, None] * rule.weights[None, :] * sx * sy
+        w2 = w2 * np.exp(rule.nodes[:, None] ** 2 + rule.nodes[None, :] ** 2)
+        value = psi(params, x, y)
+        dx, dy = psi_gradient(params, x, y)
+        dens = (value.conjugate() * value).real
+        # index pairs in (x, p_x, y, p_y) order
+        integrands = {
+            (0, 0): dens * x * x, (2, 2): dens * y * y, (0, 2): dens * x * y,
+            (1, 1): (dx.conjugate() * dx).real, (3, 3): (dy.conjugate() * dy).real,
+            (1, 3): (dx.conjugate() * dy).real,
+            (0, 1): (value.conjugate() * x * dx).imag, (2, 3): (value.conjugate() * y * dy).imag,
+            (0, 3): (value.conjugate() * x * dy).imag, (1, 2): (value.conjugate() * y * dx).imag,
+        }
+        mat = np.zeros((4, 4))
+        for (i, j), arr in integrands.items():
+            mat[i, j] = mat[j, i] = float(np.sum(w2 * arr))
+        return mat
+
+    def test_minimal_lattice_is_exact(self):
+        # second_moments runs on the (m + 2)^2 lattice: it matches the 64^2
+        # integration to roundoff, and the (m + 1)^2 lattice does not
+        for m in range(9):
+            for sign in (1, -1):
+                for sx, sy in ((5.0, 3.0), (1.0, 1.0), (0.5, 3.0), (0.05, 0.1)):
+                    p = QevParams.from_sigma(m, sx, sy, sign=sign)
+                    want = self._lattice_moments(p, 64)
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(second_moments(p).sigma - want)) <= 1e-12 * scale
+                    if m >= 1:
+                        assert np.max(np.abs(self._lattice_moments(p, m + 1) - want)) > 1e-6 * scale
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):

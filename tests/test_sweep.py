@@ -64,39 +64,51 @@ class TestRunSweep:
         assert result.n_completed == 2
         assert all(c.status == "NOT_FOUND" for c in result.crossings)
 
-    def test_thread_invariance(self):
-        a = run_sweep(small_config(), threads=1)
-        b = run_sweep(small_config(), threads=4)
-        assert np.array_equal(a.log_negativity, b.log_negativity)
+    def test_points_run_once_in_grid_order(self, monkeypatch):
+        from qev import sweep
+
+        config = small_config(m_list=(0, 1, 2))
+        calls = []
+        real = sweep.entanglement_of
+
+        def recording(params, **kwargs):
+            calls.append((params.zeta_x, params.m))
+            return real(params, **kwargs)
+
+        monkeypatch.setattr(sweep, "entanglement_of", recording)
+        result = run_sweep(config)
+        assert result.failure is None and result.n_completed == config.n_steps
+        assert calls == [(z, m) for z in result.zeta_x.tolist() for m in config.m_list]
 
     def test_failed_sweep_leaves_no_point_running(self, monkeypatch):
-        import threading
-        import time
-
         from qev import sweep
         from qev.errors import NumericError
 
         config = small_config(n_steps=8, m_list=(0, 1, 2, 3))
+        zeta = np.linspace(config.zeta_x_min, config.zeta_x_max, config.n_steps).tolist()
+        fail_at = 3
         calls = []
-        lock = threading.Lock()
         real = sweep.entanglement_of
 
-        def failing_first_point(params, **kwargs):
-            with lock:
-                calls.append(params.zeta_x)
-            if params.zeta_x == config.zeta_x_min:
+        def failing_point(params, **kwargs):
+            calls.append((params.zeta_x, params.m))
+            if params.zeta_x == zeta[fail_at] and params.m == 1:
                 raise NumericError("injected failure")
-            time.sleep(0.02)
             return real(params, **kwargs)
 
-        monkeypatch.setattr(sweep, "entanglement_of", failing_first_point)
-        result = run_sweep(config, threads=2)
-        assert result.failure is not None and result.n_completed == 0
-        settled = len(calls)
-        # only the failed point and the one already running on the other thread
-        assert settled <= 1 + len(config.m_list)
-        time.sleep(0.3)
-        assert len(calls) == settled, "points kept running after run_sweep returned"
+        monkeypatch.setattr(sweep, "entanglement_of", failing_point)
+        result = run_sweep(config)
+        assert result.failure == f"point {fail_at} (zeta_x={zeta[fail_at]:.6f}): injected failure"
+        assert result.n_completed == fail_at
+        assert np.all(np.isfinite(result.log_negativity[:fail_at]))
+        assert np.all(np.isnan(result.log_negativity[fail_at:]))
+        # the failing call is the last one: no later point is ever evaluated
+        done = [(z, m) for z in zeta[:fail_at] for m in config.m_list]
+        assert calls == done + [(zeta[fail_at], 0), (zeta[fail_at], 1)]
+        assert result.crossings == [] and result.orderings == []
+        lines = sweep_csv_lines(result)
+        header = lines.index("zeta_x,sigma_x,E_N_m0,E_N_m1,E_N_m2,E_N_m3")
+        assert len(lines[header + 1:-1]) == fail_at and lines[-1] == f"FAILED,{result.failure}"
 
     def test_both_pipelines_agree_on_zero(self):
         for pipeline in ("oracle", "closed-form"):
@@ -137,5 +149,5 @@ class TestCsvSerialization:
 
     def test_deterministic_bytes(self):
         a = sweep_csv_lines(run_sweep(small_config()))
-        b = sweep_csv_lines(run_sweep(small_config(), threads=3))
+        b = sweep_csv_lines(run_sweep(small_config()))
         assert a == b

@@ -184,11 +184,19 @@ class TestWignerSlice:
         gb = wigner_slice(q, "xy", axis_u=(-12, 12, 41), axis_v=(-12, 12, 41))
         assert np.max(np.abs(ga.values - gb.values.T)) < 1e-12 * np.max(np.abs(ga.values))
 
-    def test_thread_count_does_not_change_values(self):
+    def test_rows_evaluate_independently(self):
+        # the grid is one array evaluation; each row keeps the bits of the
+        # shared kernel evaluated on a one-row grid
+        from qev.wigner import _closed_kernel
+
         p = QevParams.from_sigma(2, 5.0, 3.0)
-        a = wigner_slice(p, "xpx", axis_u=65, axis_v=65, threads=1)
-        b = wigner_slice(p, "xpx", axis_u=65, axis_v=65, threads=8)
-        assert np.array_equal(a.values, b.values)
+        grid = wigner_slice(p, "xpx", axis_u=65, axis_v=65)
+        u, v = grid.u_coords(), grid.v_coords()
+        k_num = closed_form_norm_constant(p)
+        for i in range(65):
+            row = k_num * _closed_kernel(p, u[None, :], 0.0, v[i : i + 1, None], 0.0)
+            assert np.array_equal(grid.values[i : i + 1], row)
+        assert np.array_equal(wigner_slice(p, "xpx", axis_u=65, axis_v=65).values, grid.values)
 
     def test_m0_xy_single_maximum(self):
         p = QevParams.from_sigma(0, 1.0, 1.0)

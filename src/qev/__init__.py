@@ -4,15 +4,12 @@ distribution, and Gaussian entanglement toolkit."""
 from .errors import ConfigError, DomainError, NumericError, QevError
 from .numerics import (
     QuadratureRule,
-    deterministic_sum,
     gamma_half_integer,
     gauss_hermite_rule,
     laguerre_assoc_half,
 )
 from .state import (
-    BsCoefficients,
     QevParams,
-    bs_coefficients,
     intensity,
     normalization_constant,
     psi,
@@ -22,8 +19,6 @@ from .state import (
 from .wigner import (
     Grid2D,
     PhasePoint,
-    ScaledVars,
-    scaled_vars,
     slice_extrema,
     wigner_closed,
     wigner_slice,

@@ -432,6 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3

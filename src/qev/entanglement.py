@@ -276,7 +276,6 @@ def closed_form_second_moments(params: QevParams) -> CovarianceMatrix:
     uncertainty bound is *checked by the caller* where required rather than
     enforced here.
     """
-    params.require_canonical()
     c, rho = _eta_coefficients(params)
     tilt = params.m / (rho - 1.0) if params.m else 0.0
     matched = 0.5 * np.eye(4) + tilt * np.outer(c, c)

@@ -21,7 +21,6 @@ __all__ = [
     "laguerre_assoc_half",
     "laguerre_general",
     "gamma_half_integer",
-    "deterministic_sum",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -129,24 +128,3 @@ def gamma_half_integer(m: int) -> float:
         dfact *= k
     return (dfact / (2**m)) * SQRT_PI
 
-
-def deterministic_sum(values) -> float:
-    """Sum by a fixed pairwise reduction tree.
-
-    The input is zero-padded to the next power of two and halved repeatedly,
-    so the floating-point result depends only on the ordered values, never on
-    how callers partitioned the work: any split into equal power-of-two
-    blocks, each reduced the same way and then combined pairwise, lands on
-    bit-identical output.
-    """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    if not np.all(np.isfinite(arr)):
-        raise NumericError("deterministic_sum requires finite values")
-    size = 1 << (int(arr.size - 1)).bit_length()
-    if size != arr.size:
-        arr = np.concatenate([arr, np.zeros(size - arr.size)])
-    while arr.size > 1:
-        arr = arr[0::2] + arr[1::2]
-    return float(arr[0])

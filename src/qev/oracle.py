@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .numerics import QuadratureRule, gauss_hermite_rule, laguerre_general
+from .numerics import gauss_hermite_rule, laguerre_general
 from .state import QevParams, _norm_constant_cached, intensity
 from .wigner import PLANES, Grid2D, PhasePoint, _axis_spec, _closed_kernel, _eta_coefficients, closed_form_norm_constant
 
@@ -61,9 +61,6 @@ __all__ = [
 
 REALITY_RESIDUAL_MAX = 1e-9
 MOMENTUM_CAP_SIGMA = 4.0  # validated |p| <= 4 / sigma_min
-# Largest caller-requested order of the integral lattices: a 16^4 lattice
-# is 0.5 MB per float64 array.  The minimal exact order is never capped.
-LATTICE_ORDER_CAP = 16
 # Bytes of coefficient tables one transform_points block may hold, so its
 # peak memory does not grow with the number of points.
 TRANSFORM_BLOCK_BYTES = 8 * 2**20
@@ -142,7 +139,6 @@ def transform_points(params: QevParams, points: np.ndarray, check_reality: bool 
     Blocks of points are sized from TRANSFORM_BLOCK_BYTES and do not change
     any value.  Returns complex values; the imaginary parts are roundoff.
     """
-    params.require_canonical()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ConfigError("points must be an (N, 4) array of (x, y, p_x, p_y)")
@@ -167,7 +163,6 @@ def transform_points(params: QevParams, points: np.ndarray, check_reality: bool 
 
 def _polynomial_factor(params: QevParams, t, s, q_t, q_s):
     """e^{Q} W in scaled coordinates: ((-1)^m / pi^2) L_m(Q + 2 sign (t q_s - s q_t))."""
-    params.require_canonical()
     q = t * t + s * s + q_t * q_t + q_s * q_s
     arg = q + 2.0 * params.sign * (t * q_s - s * q_t)
     return ((-1) ** params.m / math.pi**2) * laguerre_general(params.m, 0.0, arg)
@@ -178,14 +173,6 @@ def _exact_wigner(params: QevParams, x, y, p_x, p_y):
     t, s = x / params.sigma_x, y / params.sigma_y
     q_t, q_s = params.sigma_x * p_x, params.sigma_y * p_y
     return np.exp(-(t * t + s * s + q_t * q_t + q_s * q_s)) * _polynomial_factor(params, t, s, q_t, q_s)
-
-
-def _lattice_order(rule: QuadratureRule | None, minimal: int) -> int:
-    """The minimal exact order, or the caller's rule order when higher,
-    capped at LATTICE_ORDER_CAP."""
-    if rule is None:
-        return minimal
-    return max(minimal, min(rule.order, LATTICE_ORDER_CAP))
 
 
 def _lattice(order: int, dims: int, scale: float = 1.0):
@@ -205,25 +192,23 @@ def _lattice(order: int, dims: int, scale: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def wigner_norm(params: QevParams, rule: QuadratureRule | None = None) -> float:
+def wigner_norm(params: QevParams) -> float:
     """Phase-space integral of the exact W (should be 1).
 
     On the matched lattice x = sigma_x t, p_x = q_t/sigma_x (and the y
     analogue, unit jacobian) the integrand is the Hermite weight times a
     polynomial of degree 2m per variable, so order m + 1 is exact.
     """
-    nodes, w4 = _lattice(_lattice_order(rule, params.m + 1), 4)
+    nodes, w4 = _lattice(params.m + 1, 4)
     return float(np.sum(w4 * _polynomial_factor(params, *nodes)))
 
 
-def wigner_purity(params: QevParams, rule: QuadratureRule | None = None) -> float:
+def wigner_purity(params: QevParams) -> float:
     """(2 pi)^2 integral W^2; equals 1 for every pure state in this family."""
-    return wigner_cross_purity(params, params, rule)
+    return wigner_cross_purity(params, params)
 
 
-def wigner_cross_purity(
-    params_a: QevParams, params_b: QevParams, rule: QuadratureRule | None = None
-) -> float:
+def wigner_cross_purity(params_a: QevParams, params_b: QevParams) -> float:
     """(2 pi)^2 integral W_a W_b for two states with identical widths.
 
     On the half-width lattice (t, s, q_t, q_s) = tau / sqrt(2) the product
@@ -233,8 +218,7 @@ def wigner_cross_purity(
     """
     if params_a.sigma_x != params_b.sigma_x or params_a.sigma_y != params_b.sigma_y:
         raise ConfigError("cross purity requires matching sigma values")
-    order = _lattice_order(rule, params_a.m + params_b.m + 1)
-    nodes, w4 = _lattice(order, 4, scale=1.0 / math.sqrt(2.0))
+    nodes, w4 = _lattice(params_a.m + params_b.m + 1, 4, scale=1.0 / math.sqrt(2.0))
     product = _polynomial_factor(params_a, *nodes) * _polynomial_factor(params_b, *nodes)
     return float(math.pi**2 * np.sum(w4 * product))
 
@@ -246,45 +230,35 @@ class MarginalReport:
     max_abs_deviation: float
 
 
-def marginal_check(
-    params: QevParams,
-    grid: tuple[float, float, int] | None = None,
-    rule: QuadratureRule | None = None,
-    pipeline: str = "oracle",
-) -> MarginalReport:
+def marginal_check(params: QevParams, pipeline: str = "oracle") -> MarginalReport:
     """Compare the momentum-integrated W against |psi|^2 on a position grid.
 
+    The grid has 65 points per axis over +-4 sigma_max.
     Report-only: the closed-form pipeline may legitimately deviate, and the
-    deviation feeds the discrepancy records.  ``rule`` raises the oracle's
-    lattice order; the closed form's marginal is exact and takes none.
+    deviation feeds the discrepancy records.
     """
     smax = max(params.sigma_x, params.sigma_y)
-    if grid is None:
-        grid = (-4.0 * smax, 4.0 * smax, 65)
-    lo, hi, count = grid
-    if count < 2 or not hi > lo:
-        raise ConfigError(f"bad marginal grid {grid}")
-    x = np.linspace(lo, hi, count)
-    y = np.linspace(lo, hi, count)
+    x = np.linspace(-4.0 * smax, 4.0 * smax, 65)
+    y = x
     target = intensity(params, x[:, None], y[None, :])
     if pipeline == "oracle":
-        marg = _oracle_marginal(params, x, y, _lattice_order(rule, params.m + 1))
+        marg = _oracle_marginal(params, x, y)
     elif pipeline == "closed-form":
         marg = _closed_form_marginal(params, x, y)
     else:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
     dev = float(np.max(np.abs(marg - target)))
-    return MarginalReport(pipeline=pipeline, grid_shape=(count, count), max_abs_deviation=dev)
+    return MarginalReport(pipeline=pipeline, grid_shape=(x.size, y.size), max_abs_deviation=dev)
 
 
-def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Momentum integral of the exact W on a position grid.
 
     In q_t = sigma_x p_x, q_s = sigma_y p_y the integrand is the Hermite
     weight times a polynomial of degree 2m per variable: order m + 1 is exact.
     """
     sx, sy = params.sigma_x, params.sigma_y
-    (q_t, q_s), w2 = _lattice(order, 2)
+    (q_t, q_s), w2 = _lattice(params.m + 1, 2)
     t = (x / sx)[:, None]
     s = (y / sy)[None, :]
     factor = _polynomial_factor(params, t[..., None, None], s[..., None, None], q_t, q_s)
@@ -390,7 +364,6 @@ def validate_closed_form(
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
-    params.require_canonical()
     pts = sample_phase_points(params, n_points, seed)
     x, y, p_x, p_y = pts.T
     closed = closed_form_norm_constant(params) * _closed_kernel(params, x, y, p_x, p_y)
@@ -457,13 +430,13 @@ def oracle_slice(
     return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=_exact_wigner(params, **coords))
 
 
-def oracle_covariance_entries(params: QevParams, rule: QuadratureRule | None = None) -> dict[str, float]:
+def oracle_covariance_entries(params: QevParams) -> dict[str, float]:
     """First and second moments of the oracle W (Weyl-symmetrized products).
 
     On the matched lattice the quadratic observables raise the polynomial
     degree to 2m + 2 per variable, so order m + 2 is exact.
     """
-    nodes, w4 = _lattice(_lattice_order(rule, params.m + 2), 4)
+    nodes, w4 = _lattice(params.m + 2, 4)
     base = w4 * _polynomial_factor(params, *nodes)
     t, s, q_t, q_s = nodes
     sx, sy = params.sigma_x, params.sigma_y

@@ -2,9 +2,8 @@
 
 The state family is parameterized by a vorticity (topological charge) m, two
 real squeezing parameters zeta_x, zeta_y with Gaussian widths
-sigma_i = exp(2 zeta_i), a vortex handedness sign, and positive coupling
-weights eta_i.  With the canonical choice eta_i = 1/(sqrt(2) sigma_i) the
-spatial amplitude is
+sigma_i = exp(2 zeta_i) and a vortex handedness sign.  With the canonical
+coupling weights 1/(sqrt(2) sigma_i) the spatial amplitude is
 
     psi(x, y) = N * [x/(sqrt(2) sigma_x) +- i y/(sqrt(2) sigma_y)]^m
                   * exp(-((x/sigma_x)^2 + (y/sigma_y)^2) / 2)
@@ -28,8 +27,6 @@ from .numerics import gamma_half_integer
 
 __all__ = [
     "QevParams",
-    "BsCoefficients",
-    "bs_coefficients",
     "psi",
     "psi_gradient",
     "intensity",
@@ -38,22 +35,19 @@ __all__ = [
     "winding_number",
 ]
 
+# The origin-centred circle that ``winding_number`` samples.
+WINDING_RADIUS = 0.1
+WINDING_SAMPLES = 720
+
 
 @dataclass(frozen=True)
 class QevParams:
-    """Immutable parameter set of one elliptical-vortex state.
-
-    ``eta`` of None selects the canonical coupling weights
-    eta_i = 1/(sqrt(2) sigma_i); only canonical parameters feed the
-    amplitude and Wigner evaluators, but arbitrary positive weights are
-    accepted for describing the general state family.
-    """
+    """Immutable parameter set of one elliptical-vortex state."""
 
     m: int
     zeta_x: float
     zeta_y: float
     sign: int = 1
-    eta: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool) or self.m < 0:
@@ -62,10 +56,6 @@ class QevParams:
             raise DomainError("squeezing parameters must be finite")
         if self.sign not in (+1, -1):
             raise ConfigError(f"sign must be +1 or -1, got {self.sign!r}")
-        if self.eta is not None:
-            ex, ey = self.eta
-            if not (ex > 0 and ey > 0 and math.isfinite(ex) and math.isfinite(ey)):
-                raise ConfigError("coupling weights eta must be positive finite reals")
 
     @classmethod
     def from_sigma(cls, m: int, sigma_x: float, sigma_y: float, sign: int = 1) -> "QevParams":
@@ -81,66 +71,9 @@ class QevParams:
     def sigma_y(self) -> float:
         return math.exp(2.0 * self.zeta_y)
 
-    @property
-    def eta_x(self) -> float:
-        return self.eta[0] if self.eta is not None else 1.0 / (math.sqrt(2.0) * self.sigma_x)
-
-    @property
-    def eta_y(self) -> float:
-        return self.eta[1] if self.eta is not None else 1.0 / (math.sqrt(2.0) * self.sigma_y)
-
-    @property
-    def is_canonical(self) -> bool:
-        if self.eta is None:
-            return True
-        cx = 1.0 / (math.sqrt(2.0) * self.sigma_x)
-        cy = 1.0 / (math.sqrt(2.0) * self.sigma_y)
-        return math.isclose(self.eta[0], cx, rel_tol=1e-12) and math.isclose(
-            self.eta[1], cy, rel_tol=1e-12
-        )
-
-    def require_canonical(self) -> None:
-        if not self.is_canonical:
-            raise ConfigError(
-                "this evaluation is defined only for the canonical coupling "
-                "weights eta_i = 1/(sqrt(2) sigma_i)"
-            )
-
     def swapped(self) -> "QevParams":
         """The state with the two mode labels (x <-> y) exchanged."""
-        return QevParams(m=self.m, zeta_x=self.zeta_y, zeta_y=self.zeta_x, sign=self.sign, eta=None if self.eta is None else (self.eta[1], self.eta[0]))
-
-
-@dataclass(frozen=True)
-class BsCoefficients:
-    """Transmittivity/reflectivity pair of the two-mode coupler."""
-
-    a_x: complex
-    a_y: complex
-
-    def unitarity_residual(self) -> float:
-        """|a_x|^2 + |a_y|^2 - 1 (must vanish for a lossless coupler)."""
-        return abs(self.a_x) ** 2 + abs(self.a_y) ** 2 - 1.0
-
-    def phase_residual(self) -> float:
-        """Re(conj(a_x) a_y); zero exactly when the relative phase is +-pi/2.
-
-        The construction below keeps a_x real, so this residual vanishes for
-        coupling phase phi in {0, pi} and measures the deviation otherwise.
-        """
-        return (self.a_x.conjugate() * self.a_y).real
-
-
-def bs_coefficients(theta: float, phi: float) -> BsCoefficients:
-    """Coupler coefficients (cos(theta), i e^{i phi} sin(theta)).
-
-    theta is the accumulated coupling (coupling rate times interaction time),
-    phi the coupling phase.  The modulus constraint |a_x|^2 + |a_y|^2 = 1
-    holds for every input by construction.
-    """
-    a_x = complex(math.cos(theta), 0.0)
-    a_y = 1j * complex(math.cos(phi), math.sin(phi)) * math.sin(theta)
-    return BsCoefficients(a_x=a_x, a_y=a_y)
+        return QevParams(m=self.m, zeta_x=self.zeta_y, zeta_y=self.zeta_x, sign=self.sign)
 
 
 def _as_float_array(name: str, value):
@@ -176,7 +109,6 @@ def closed_form_prefactor(params: QevParams) -> float:
 def normalization_constant(params: QevParams) -> tuple[float, float]:
     """(n_num, formula_ratio): the unit-norm constant and its ratio to the
     closed-form reference prefactor."""
-    params.require_canonical()
     n_num = _norm_constant_cached(params)
     return n_num, n_num / closed_form_prefactor(params)
 
@@ -188,7 +120,6 @@ def psi(params: QevParams, x, y):
     broadcast shape.  The vortex factor winds the phase by sign*m around the
     origin, so psi(0, 0) = 0 whenever m >= 1.
     """
-    params.require_canonical()
     x_arr = _as_float_array("x", x)
     y_arr = _as_float_array("y", y)
     n_num = _norm_constant_cached(params)
@@ -203,7 +134,6 @@ def psi(params: QevParams, x, y):
 
 def psi_gradient(params: QevParams, x, y):
     """Analytic partials (d psi/dx, d psi/dy) by the product rule."""
-    params.require_canonical()
     x_arr = _as_float_array("x", x)
     y_arr = _as_float_array("y", y)
     n_num = _norm_constant_cached(params)
@@ -230,17 +160,14 @@ def intensity(params: QevParams, x, y):
     return float(out) if np.isscalar(x) and np.isscalar(y) else out
 
 
-def winding_number(params: QevParams, radius: float = 0.1, samples: int = 720) -> int:
+def winding_number(params: QevParams) -> int:
     """Phase winding of psi around an origin-centered circle, in units of 2 pi.
 
-    Equals sign*m for every m >= 1; for m = 0 the phase is flat and the
-    winding is 0.
+    The circle has radius WINDING_RADIUS and WINDING_SAMPLES points.  Equals
+    sign*m for every m >= 1; for m = 0 the phase is flat and the winding is 0.
     """
-    params.require_canonical()
-    if radius <= 0:
-        raise ConfigError("winding contour radius must be positive")
-    theta = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    values = psi(params, radius * np.cos(theta), radius * np.sin(theta))
+    theta = np.linspace(0.0, 2.0 * math.pi, WINDING_SAMPLES, endpoint=False)
+    values = psi(params, WINDING_RADIUS * np.cos(theta), WINDING_RADIUS * np.sin(theta))
     phases = np.angle(values)
     steps = np.diff(np.concatenate([phases, phases[:1]]))
     steps = (steps + math.pi) % (2.0 * math.pi) - math.pi

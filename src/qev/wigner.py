@@ -13,8 +13,7 @@ The dimensionless momentum maps used by the evaluator absorb a factor
 sqrt(2) relative to the raw scaled-variable definitions (PX1 = sigma_x p_x,
 PX2 = sigma_y^3 p_x, and the y analogues); this is the unique unit choice
 under which the m = 0 case reproduces the exact squeezed-vacuum phase-space
-Gaussian, which the integral-transform oracle independently fixes.  The raw
-maps are exposed unchanged by ``scaled_vars``.
+Gaussian, which the integral-transform oracle independently fixes.
 
 The multiplicative constant is *not* taken from the closed-form reference K
 (which is negative for odd m and does not normalize the distribution);
@@ -36,11 +35,9 @@ from .state import QevParams
 
 __all__ = [
     "PhasePoint",
-    "ScaledVars",
     "Grid2D",
     "Extremum",
     "PLANES",
-    "scaled_vars",
     "wigner_closed",
     "closed_form_norm_constant",
     "closed_form_reference_constant",
@@ -54,6 +51,13 @@ __all__ = [
 # Largest relative error of K_num the printed form may carry (see
 # _eta_coefficients): the selftest's closed-form norm gate.
 K_NUM_REL_ERR_MAX = 1e-8
+
+# Neighbouring cells of a slice whose values differ by at most PLATEAU_TOL
+# tie.  A significant extremum reaches REL_FLOOR of the slice's largest |W|
+# and persists for PERSISTENCE_RATIO of its own |value|.
+PLATEAU_TOL = 1e-12
+REL_FLOOR = 1e-4
+PERSISTENCE_RATIO = 1e-2
 
 # plane tag -> (u axis, v axis); the complementary two coordinates are zero.
 PLANES = {
@@ -79,20 +83,6 @@ class PhasePoint:
         for name in ("x", "y", "p_x", "p_y"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"phase-space coordinate {name} must be finite")
-
-
-@dataclass(frozen=True)
-class ScaledVars:
-    """The eight dimensionless scaled coordinates (raw definitions)."""
-
-    X1: float
-    Y1: float
-    Px1: float
-    Py1: float
-    X2: float
-    Y2: float
-    Px2: float
-    Py2: float
 
 
 @dataclass
@@ -135,23 +125,6 @@ class Extremum:
     u: float
     v: float
     value: float
-
-
-def scaled_vars(params: QevParams, point: PhasePoint) -> ScaledVars:
-    """The raw scaled-coordinate maps, applied literally as defined."""
-    params.require_canonical()
-    sx, sy = params.sigma_x, params.sigma_y
-    rt2 = math.sqrt(2.0)
-    return ScaledVars(
-        X1=point.x / sx,
-        Y1=point.y / sy,
-        Px1=sx * point.p_x / rt2,
-        Py1=sy * point.p_y / rt2,
-        X2=sy * point.x / (2.0 * sx),
-        Y2=sx * point.y / (2.0 * sy),
-        Px2=sy**3 * point.p_x / rt2,
-        Py2=sx**3 * point.p_y / rt2,
-    )
 
 
 def alp_argument(params: QevParams, x, y, p_x, p_y):
@@ -216,7 +189,6 @@ def closed_form_norm_constant(params: QevParams) -> float:
     eta ~ N(0, rho/2), so K_num = 4^m / (pi^2 C(2m, m) (1 - rho)^m).
     Its sign is that of (1 - rho)^m: negative exactly for odd m with rho > 1.
     """
-    params.require_canonical()
     m = params.m
     _, rho = _eta_coefficients(params)
     return 4.0**m / (math.pi**2 * math.comb(2 * m, m) * (1.0 - rho) ** m)
@@ -236,7 +208,6 @@ def closed_form_reference_constant(params: QevParams) -> float:
 
 def wigner_closed(params: QevParams, point: PhasePoint) -> float:
     """Closed-form Wigner value at a phase-space point (unit-normalized)."""
-    params.require_canonical()
     k_num = closed_form_norm_constant(params)
     return float(k_num * _closed_kernel(params, point.x, point.y, point.p_x, point.p_y))
 
@@ -269,7 +240,6 @@ def wigner_slice(
     ``axis_u``/``axis_v`` may be (min, max, count) triples, a bare count (the
     default window is used), or None (257-point default window).
     """
-    params.require_canonical()
     if plane not in PLANES:
         raise ConfigError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
     name_u, name_v = PLANES[plane]
@@ -289,10 +259,10 @@ def wigner_slice(
     return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=values)
 
 
-def slice_extrema(grid: Grid2D, plateau_tol: float = 1e-12) -> list[Extremum]:
+def slice_extrema(grid: Grid2D) -> list[Extremum]:
     """Interior strict local extrema by 8-neighbor comparison.
 
-    Cells whose values tie within ``plateau_tol`` are treated as one plateau
+    Cells whose values tie within ``PLATEAU_TOL`` are treated as one plateau
     and collapsed to a single extremum at the plateau centroid.  Results are
     sorted by |value| descending.
     """
@@ -315,11 +285,11 @@ def slice_extrema(grid: Grid2D, plateau_tol: float = 1e-12) -> list[Extremum]:
     strict_lt = np.zeros_like(center, dtype=bool)
     for nb in neighbors:
         diff = center - nb
-        tie = np.abs(diff) <= plateau_tol
+        tie = np.abs(diff) <= PLATEAU_TOL
         ge &= (diff > 0) | tie
         le &= (diff < 0) | tie
-        strict_gt |= diff > plateau_tol
-        strict_lt |= diff < -plateau_tol
+        strict_gt |= diff > PLATEAU_TOL
+        strict_lt |= diff < -PLATEAU_TOL
     # A candidate dominates (or ties with) all 8 neighbors and strictly beats
     # at least one, so flat regions do not register.
     max_mask = np.zeros_like(vals, dtype=bool)
@@ -346,7 +316,7 @@ def slice_extrema(grid: Grid2D, plateau_tol: float = 1e-12) -> list[Extremum]:
                     for dj in (-1, 0, 1):
                         ii, jj = i + di, j + dj
                         if (di or dj) and 0 <= ii < nv and 0 <= jj < nu:
-                            if mask[ii, jj] and not seen[ii, jj] and abs(vals[ii, jj] - vals[i, j]) <= plateau_tol:
+                            if mask[ii, jj] and not seen[ii, jj] and abs(vals[ii, jj] - vals[i, j]) <= PLATEAU_TOL:
                                 seen[ii, jj] = True
                                 stack.append((ii, jj))
             ci = sum(c[0] for c in cells) / len(cells)
@@ -375,7 +345,7 @@ def _births(order: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return births
 
 
-def _persistence_peaks(field: np.ndarray, keep: np.ndarray, ratio: float) -> list[int]:
+def _persistence_peaks(field: np.ndarray, keep: np.ndarray) -> list[int]:
     """Flat indices of the peaks of a 2D field, among the cells in ``keep``,
     that are real hills by topological persistence.
 
@@ -383,21 +353,21 @@ def _persistence_peaks(field: np.ndarray, keep: np.ndarray, ratio: float) -> lis
     superlevel components with a union-find.  A component is born at a peak
     (a cell whose neighbours all come later in the sweep) and dies when it
     merges into an older (higher-born) one; its persistence is birth - merge
-    level.  Peaks whose persistence is below ``ratio * |birth|`` are sampling
-    artifacts riding on a larger hill.  The global top never merges: it
-    persists down to the field's minimum.
+    level.  Peaks whose persistence is below ``PERSISTENCE_RATIO * |birth|``
+    are sampling artifacts riding on a larger hill.  The global top never
+    merges: it persists down to the field's minimum.
 
     Only the peaks in ``keep`` are decided, so the sweep stops once each of
     them has merged or can no longer fail: float subtraction is monotone, so
-    a peak with birth - level >= ratio * |birth| at the current level passes
-    at whatever level it later merges.
+    a peak with birth - level >= PERSISTENCE_RATIO * |birth| at the current
+    level passes at whatever level it later merges.
     """
     nu = field.shape[1]
     flat = field.ravel()
     order = np.argsort(flat, kind="stable")[::-1]
     top = int(order[0])
     survivors = []
-    if keep.flat[top] and float(flat[top] - flat[order[-1]]) >= ratio * abs(float(flat[top])):
+    if keep.flat[top] and float(flat[top] - flat[order[-1]]) >= PERSISTENCE_RATIO * abs(float(flat[top])):
         survivors.append(top)
     peaks = keep & _births(order, field.shape)
     peaks.flat[top] = False
@@ -414,7 +384,7 @@ def _persistence_peaks(field: np.ndarray, keep: np.ndarray, ratio: float) -> lis
     def padded(index: np.ndarray) -> list[int]:
         return (index + 2 * (index // nu) + width + 1).tolist()
 
-    undecided = {cell: (birth, ratio * abs(birth)) for cell, birth in zip(padded(cells), flat[cells].tolist())}
+    undecided = {cell: (birth, PERSISTENCE_RATIO * abs(birth)) for cell, birth in zip(padded(cells), flat[cells].tolist())}
     watch = list(undecided.items())  # scanned once, in any order, by `w`
     w = 0
     parent = [-1] * ((field.shape[0] + 2) * width)
@@ -462,17 +432,15 @@ def _persistence_peaks(field: np.ndarray, keep: np.ndarray, ratio: float) -> lis
     return survivors + [(c // width - 1) * nu + c % width - 1 for c in kept]
 
 
-def significant_extrema(
-    grid: Grid2D, rel_floor: float = 1e-4, persistence_ratio: float = 1e-2
-) -> list[Extremum]:
+def significant_extrema(grid: Grid2D) -> list[Extremum]:
     """Structural extrema of a slice, with sampling artifacts suppressed.
 
     The raw strict-neighbor census (``slice_extrema``) reports every grid
     wiggle, including aliasing duplicates along tilted ridges and roundoff
     ripple in far tails.  This summary keeps one extremum per genuine hill or
-    basin: an interior cell that reaches ``rel_floor`` times the grid's
+    basin: an interior cell that reaches ``REL_FLOOR`` times the grid's
     maximum magnitude and whose topological persistence is at least
-    ``persistence_ratio`` of its own height.  Sorted by |value| descending;
+    ``PERSISTENCE_RATIO`` of its own height.  Sorted by |value| descending;
     exact ties go maxima first, then by row, then by column.
     """
     nv, nu = grid.values.shape
@@ -481,12 +449,12 @@ def significant_extrema(
     scale = float(np.max(np.abs(grid.values)))
     if scale == 0.0:
         return []
-    keep = np.abs(grid.values) >= rel_floor * scale
+    keep = np.abs(grid.values) >= REL_FLOOR * scale
     keep[[0, -1], :] = False  # interior features only, matching the raw census
     keep[:, [0, -1]] = False
     found = []
     for kind, field in (("max", grid.values), ("min", -grid.values)):
-        for cell in _persistence_peaks(field, keep, persistence_ratio):
+        for cell in _persistence_peaks(field, keep):
             i, j = divmod(cell, nu)
             found.append((-abs(float(grid.values[i, j])), kind, i, j))
     found.sort()

@@ -282,3 +282,22 @@ class TestConfigPrecedence:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("quad-order=many\n")
         assert main([command, "--config", str(cfg)]) == 1
+
+
+class TestArithmeticFailure:
+    @pytest.mark.parametrize("argv", [
+        ["entangle", "--m", "1", "--zeta-x", "400", "--zeta-y", "0"],
+        ["slice", "--m", "1", "--zeta-x", "400", "--zeta-y", "0", "--plane", "xy", "--n", "5", "--out", "F"],
+        ["sweep", "--zeta-min", "-400", "--zeta-max", "0", "--steps", "3", "--out", "F"],
+        ["entangle", "--m", "1", "--sigma-x", "1e308", "--sigma-y", "1"],
+        ["slice", "--m", "1000", "--sigma-x", "5", "--sigma-y", "3", "--plane", "xy", "--n", "5", "--out", "F"],
+    ])
+    def test_overflow_exits_2(self, tmp_path, capsys, argv):
+        # widths or powers beyond float64 range overflow or divide by zero
+        # inside float arithmetic; the CLI reports that as a numeric failure
+        argv = [str(tmp_path / "F") if a == "F" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: OverflowError: ") or err.startswith(
+            "numeric failure: ZeroDivisionError: "
+        )

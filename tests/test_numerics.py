@@ -8,7 +8,6 @@ import pytest
 
 from qev.errors import ConfigError, DomainError, NumericError
 from qev.numerics import (
-    deterministic_sum,
     gamma_half_integer,
     gauss_hermite_rule,
     laguerre_assoc_half,
@@ -131,28 +130,3 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             rule.nodes[0] = 0.0
 
-
-class TestDeterministicSum:
-    def test_empty(self):
-        assert deterministic_sum([]) == 0.0
-
-    def test_small(self):
-        assert deterministic_sum([1.0, 2.0, 3.0, 4.0]) == 10.0
-
-    def test_partition_invariance(self):
-        values = np.full(10**6, 0.1)
-        total = deterministic_sum(values)
-        padded = 1 << int(values.size - 1).bit_length()
-        for parts in (2, 8):
-            chunk = padded // parts
-            partials = [deterministic_sum(values[i : i + chunk]) for i in range(0, values.size, chunk)]
-            assert deterministic_sum(partials) == total
-
-    def test_rerun_identical(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(size=12345)
-        assert deterministic_sum(values) == deterministic_sum(values.copy())
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericError):
-            deterministic_sum([1.0, float("nan")])

@@ -1,4 +1,4 @@
-"""State parameters, spatial amplitude, and the coupler coefficient utility."""
+"""State parameters and spatial amplitude."""
 
 import math
 
@@ -9,7 +9,6 @@ from qev.errors import ConfigError, DomainError
 from qev.numerics import gauss_hermite_rule
 from qev.state import (
     QevParams,
-    bs_coefficients,
     closed_form_prefactor,
     intensity,
     normalization_constant,
@@ -38,18 +37,6 @@ class TestQevParams:
         assert p.sigma_x == pytest.approx(math.exp(0.6), rel=1e-15)
         assert p.sigma_y == pytest.approx(math.exp(-0.2), rel=1e-15)
 
-    def test_canonical_eta(self):
-        p = QevParams.from_sigma(1, 5.0, 3.0)
-        assert p.eta_x == pytest.approx(1.0 / (math.sqrt(2) * 5.0), rel=1e-15)
-        assert p.eta_y == pytest.approx(1.0 / (math.sqrt(2) * 3.0), rel=1e-15)
-        assert p.is_canonical
-
-    def test_general_eta_accepted_but_not_canonical(self):
-        p = QevParams(m=1, zeta_x=0.0, zeta_y=0.0, eta=(1.0, 1.0))
-        assert not p.is_canonical
-        with pytest.raises(ConfigError):
-            psi(p, 0.1, 0.1)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             QevParams(m=-1, zeta_x=0.0, zeta_y=0.0)
@@ -57,35 +44,6 @@ class TestQevParams:
             QevParams(m=1, zeta_x=0.0, zeta_y=0.0, sign=2)
         with pytest.raises(DomainError):
             QevParams(m=1, zeta_x=float("inf"), zeta_y=0.0)
-        with pytest.raises(ConfigError):
-            QevParams(m=1, zeta_x=0.0, zeta_y=0.0, eta=(-1.0, 1.0))
-
-
-class TestBsCoefficients:
-    def test_no_coupling(self):
-        for phi in (0.0, 1.0, -2.5):
-            c = bs_coefficients(0.0, phi)
-            assert c.a_x == 1.0
-            assert abs(c.a_y) == 0.0
-
-    def test_balanced(self):
-        c = bs_coefficients(math.pi / 4, 0.0)
-        assert c.a_x == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert c.a_y == pytest.approx(1j / math.sqrt(2), rel=1e-15)
-
-    @pytest.mark.parametrize("theta,phi", [(0.3, 0.0), (math.pi / 3, 0.0), (1.1, math.pi)])
-    def test_constraints_on_real_phase_family(self, theta, phi):
-        c = bs_coefficients(theta, phi)
-        assert abs(c.unitarity_residual()) < 1e-14
-        assert abs(c.phase_residual()) < 1e-14
-
-    def test_modulus_constraint_everywhere(self):
-        # The modulus relation holds for every (theta, phi); the quadrature
-        # relation Re(conj(a_x) a_y) = 0 singles out phi in {0, pi} and its
-        # residual is exposed rather than enforced.
-        c = bs_coefficients(math.pi / 3, math.pi / 2)
-        assert abs(c.unitarity_residual()) < 1e-14
-        assert c.phase_residual() == pytest.approx(-math.sin(math.pi / 2) * 0.5 * math.sin(math.pi / 3), rel=1e-12)
 
 
 class TestPsi:
@@ -99,7 +57,7 @@ class TestPsi:
 
     def test_winding_m2(self):
         p = QevParams.from_sigma(2, 5.0, 3.0)
-        assert winding_number(p, radius=0.1) == 2
+        assert winding_number(p) == 2
 
     @pytest.mark.parametrize("m", range(9))
     @pytest.mark.parametrize("sign", [1, -1])

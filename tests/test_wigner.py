@@ -1,4 +1,4 @@
-"""Closed-form Wigner evaluation, scaled variables, slices, extrema."""
+"""Closed-form Wigner evaluation, slices, extrema."""
 
 import math
 from fractions import Fraction
@@ -18,32 +18,11 @@ from qev.wigner import (
     closed_form_norm_constant,
     closed_form_reference_constant,
     default_window,
-    scaled_vars,
     significant_extrema,
     slice_extrema,
     wigner_closed,
     wigner_slice,
 )
-
-
-class TestScaledVars:
-    def test_origin(self):
-        p = QevParams.from_sigma(2, 5.0, 3.0)
-        sv = scaled_vars(p, PhasePoint(0, 0, 0, 0))
-        assert all(getattr(sv, f) == 0.0 for f in ("X1", "Y1", "Px1", "Py1", "X2", "Y2", "Px2", "Py2"))
-
-    def test_position_maps(self):
-        p = QevParams.from_sigma(1, 5.0, 3.0)
-        sv = scaled_vars(p, PhasePoint(x=5.0, y=0.0, p_x=0.0, p_y=0.0))
-        assert sv.X1 == pytest.approx(1.0, rel=1e-15)
-        assert sv.X2 == pytest.approx(3.0 / 2.0, rel=1e-15)  # sigma_y/2
-        assert sv.Y1 == sv.Y2 == sv.Px1 == sv.Px2 == sv.Py1 == sv.Py2 == 0.0
-
-    def test_momentum_maps(self):
-        p = QevParams.from_sigma(1, 5.0, 3.0)
-        sv = scaled_vars(p, PhasePoint(x=0.0, y=0.0, p_x=math.sqrt(2) / 5.0, p_y=0.0))
-        assert sv.Px1 == pytest.approx(1.0, rel=1e-15)
-        assert sv.Px2 == pytest.approx(27.0 / 5.0, rel=1e-15)  # sigma_y^3/sigma_x
 
 
 class TestWignerClosed:

@@ -6,6 +6,11 @@ Exit codes: 0 success, 1 usage/config, 2 numeric failure, 3 I/O failure
 failed check).  All outputs are deterministic byte-for-byte for identical
 flags and seeds.  Every command runs on one thread; ``--threads`` is
 validated and changes nothing.
+
+``--config`` names a flat ``key=value`` file.  Its values become the
+subcommand's defaults, so a config value is parsed and validated exactly like
+the flag of the same name, and a flag on the command line overrides it.  Keys
+that name no valued flag of the subcommand are ignored.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .entanglement import entanglement_of, log_negativity, tmsv_covariance
+from .entanglement import COVARIANCE_ENTRIES, entanglement_of, log_negativity, tmsv_covariance
 from .errors import ConfigError, DomainError, NumericError
 from .oracle import oracle_slice, validate_closed_form
 from .selftest import run_selftest
@@ -43,9 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -62,23 +65,34 @@ def _load_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(args, config: dict, key: str, default, cast):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config value {key}={raw!r}") from exc
-    return default
+def _config_as_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Make the ``--config`` file's values the chosen subcommand's defaults.
+
+    Only keys that name a valued flag count (not ``--help`` or ``--verbose``).
+    argparse runs a string default through its flag's ``type`` when the flag
+    is absent, so a config value is cast and validated like the flag itself.
+    """
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = subparsers.choices[args.command]
+    valued = {a.dest for a in command._actions if a.option_strings and a.nargs != 0}
+    config = _load_config(args.config)
+    command.set_defaults(**{key: value for key, value in config.items() if key in valued})
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=None, help="accepted and validated (>= 1); every command runs on one thread")
+    parser.add_argument("--threads", type=_at_least_one, default=1, help="accepted and validated (>= 1); every command runs on one thread")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
-    parser.add_argument("--quad-order", type=int, default=None, help="accepted and validated; slice records it as quad_order; changes no value in any command")
+    parser.add_argument("--quad-order", type=int, default=64, help="accepted and validated; slice records it as quad_order; changes no value in any command")
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -87,18 +101,13 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma-y", type=float, default=None)
     parser.add_argument("--zeta-x", type=float, default=None)
     parser.add_argument("--zeta-y", type=float, default=None)
-    parser.add_argument("--sign", type=int, default=None, choices=(1, -1), help="vortex handedness (+1 or -1)")
+    parser.add_argument("--sign", type=int, default=1, choices=(1, -1), help="vortex handedness (+1 or -1)")
 
 
-def _params_from(args, config: dict) -> QevParams:
-    m = _resolve(args, config, "m", None, int)
-    if m is None:
+def _params_from(args) -> QevParams:
+    if args.m is None:
         raise UsageError("--m is required")
-    sign = _resolve(args, config, "sign", 1, int)
-    sx = _resolve(args, config, "sigma_x", None, float)
-    sy = _resolve(args, config, "sigma_y", None, float)
-    zx = _resolve(args, config, "zeta_x", None, float)
-    zy = _resolve(args, config, "zeta_y", None, float)
+    sx, sy, zx, zy = args.sigma_x, args.sigma_y, args.zeta_x, args.zeta_y
     if (sx is None) == (zx is None):
         raise UsageError("give exactly one of --sigma-x or --zeta-x")
     if (sy is None) == (zy is None):
@@ -111,21 +120,7 @@ def _params_from(args, config: dict) -> QevParams:
         if sy <= 0:
             raise UsageError("--sigma-y must be positive")
         zy = 0.5 * math.log(sy)
-    return QevParams(m=m, zeta_x=zx, zeta_y=zy, sign=sign)
-
-
-def _command_config(args) -> dict[str, str]:
-    """Load ``--config`` and validate the flags every command accepts.
-
-    ``--threads`` must be >= 1 and ``--quad-order`` an integer, but neither
-    changes a value: every command runs on one thread, and every integral is
-    an exact sum or a closed form that picks its own order.
-    """
-    config = _load_config(args.config)
-    if _resolve(args, config, "threads", 1, int) < 1:
-        raise UsageError("--threads must be >= 1")
-    _resolve(args, config, "quad_order", 64, int)
-    return config
+    return QevParams(m=args.m, zeta_x=zx, zeta_y=zy, sign=args.sign)
 
 
 def _params_meta(params: QevParams) -> dict:
@@ -145,47 +140,34 @@ def _params_meta(params: QevParams) -> dict:
 
 
 def cmd_slice(args) -> int:
-    config = _command_config(args)
-    params = _params_from(args, config)
-    plane = _resolve(args, config, "plane", None, str)
-    if plane is None or plane not in PLANES:
+    params = _params_from(args)
+    if args.plane not in PLANES:
         raise UsageError(f"--plane must be one of {sorted(PLANES)}")
-    n = _resolve(args, config, "n", 257, int)
-    pipeline = _resolve(args, config, "pipeline", "closed-form", str)
-    out = _resolve(args, config, "out", None, str)
-    if out is None:
+    if args.out is None:
         raise UsageError("--out is required")
-    fmt_kind = _resolve(args, config, "format", "csv", str)
-    if fmt_kind not in ("csv", "pgm"):
+    if args.format not in ("csv", "pgm"):
         raise UsageError("--format must be csv or pgm")
-    order = _resolve(args, config, "quad_order", 64, int)
 
-    if pipeline == "closed-form":
-        grid = wigner_slice(params, plane, axis_u=n, axis_v=n)
+    if args.pipeline == "closed-form":
+        grid = wigner_slice(params, args.plane, axis_u=args.n, axis_v=args.n)
         k_num = closed_form_norm_constant(params)
         k_ref = closed_form_reference_constant(params)
         extra = {"k_num": k_num, "k_reference": k_ref, "k_ratio": k_num / k_ref}
-    elif pipeline == "oracle":
-        grid = oracle_slice(params, plane, axis_u=n, axis_v=n)
+    elif args.pipeline == "oracle":
+        grid = oracle_slice(params, args.plane, axis_u=args.n, axis_v=args.n)
         extra = {}
     else:
         raise UsageError("--pipeline must be closed-form or oracle")
 
-    meta = {**_params_meta(params), "pipeline": pipeline, "quad_order": order, **extra}
-    try:
-        if fmt_kind == "csv":
-            formats.write_grid_csv(out, grid, meta)
-        else:
-            formats.write_grid_pgm(out, grid, meta)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
+    meta = {**_params_meta(params), "pipeline": args.pipeline, "quad_order": args.quad_order, **extra}
+    write = formats.write_grid_csv if args.format == "csv" else formats.write_grid_pgm
+    write(args.out, grid, meta)
 
     feats = significant_extrema(grid)
     raw = slice_extrema(grid)
     n_max = sum(1 for f in feats if f.kind == "max")
     n_min = sum(1 for f in feats if f.kind == "min")
-    print(f"plane={plane} pipeline={pipeline} m={params.m} "
+    print(f"plane={args.plane} pipeline={args.pipeline} m={params.m} "
           f"sigma_x={params.sigma_x:.6g} sigma_y={params.sigma_y:.6g}")
     print(f"significant extrema: {n_max} maxima, {n_min} minima")
     print(f"raw strict extrema: {sum(1 for e in raw if e.kind == 'max')} maxima, "
@@ -201,17 +183,11 @@ def cmd_slice(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _command_config(args)
-    params = _params_from(args, config)
-    n_points = _resolve(args, config, "n_points", 200, int)
-    seed = _resolve(args, config, "seed", 1, int)
-    tol = _resolve(args, config, "tol", 1e-6, float)
-    abs_floor = _resolve(args, config, "abs_floor", 1e-12, float)
-    out = _resolve(args, config, "out", None, str)
-    if out is None:
+    params = _params_from(args)
+    if args.out is None:
         raise UsageError("--out is required")
 
-    report = validate_closed_form(params, n_points, seed, tol=tol, abs_floor=abs_floor)
+    report = validate_closed_form(params, args.n_points, args.seed, tol=args.tol, abs_floor=args.abs_floor)
     n_num, ratio = normalization_constant(params)
     k_num = closed_form_norm_constant(params)
     k_ref = closed_form_reference_constant(params)
@@ -222,12 +198,8 @@ def cmd_validate(args) -> int:
         "k_reference": k_ref,
         "k_ratio": k_num / k_ref,
     }
-    try:
-        formats.write_validation_jsonl(out, report, meta)
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
-    print(f"validated {n_points} points: {report.n_match} MATCH, {report.n_mismatch} MISMATCH "
+    formats.write_validation_jsonl(args.out, report, meta)
+    print(f"validated {args.n_points} points: {report.n_match} MATCH, {report.n_mismatch} MISMATCH "
           f"(max rel err {report.max_rel_err:.3e}, orders {list(report.rule_orders)})")
     return 0 if report.all_match else 3
 
@@ -238,34 +210,24 @@ def cmd_validate(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    config = _command_config(args)
-    fixture = _resolve(args, config, "fixture", None, str)
-    out = _resolve(args, config, "out", None, str)
     lines: list[str] = [formats.FORMAT_VERSION, "# kind=entanglement"]
 
-    if fixture is not None:
-        if fixture != "tmsv":
+    if args.fixture is not None:
+        if args.fixture != "tmsv":
             raise UsageError("--fixture supports only: tmsv")
-        r = _resolve(args, config, "r", None, float)
-        if r is None:
+        if args.r is None:
             raise UsageError("--r is required with --fixture tmsv")
-        cov = tmsv_covariance(r)
+        cov = tmsv_covariance(args.r)
         report = log_negativity(cov, pipeline="fixture")
-        lines.append(f"# fixture=tmsv r={formats.fmt(r)}")
+        lines.append(f"# fixture=tmsv r={formats.fmt(args.r)}")
     else:
-        params = _params_from(args, config)
-        pipeline = _resolve(args, config, "pipeline", "oracle", str)
-        cov, report = entanglement_of(params, pipeline=pipeline)
+        params = _params_from(args)
+        cov, report = entanglement_of(params, pipeline=args.pipeline)
         for key, value in _params_meta(params).items():
             lines.append(f"# {key}={value if isinstance(value, str) else formats.fmt(value) if isinstance(value, float) else value}")
         lines.append(f"# pipeline={report.pipeline}")
 
-    names = [
-        ("xx", 0, 0), ("xpx", 0, 1), ("xy", 0, 2), ("xpy", 0, 3),
-        ("pxpx", 1, 1), ("ypx", 1, 2), ("pxpy", 1, 3),
-        ("yy", 2, 2), ("ypy", 2, 3), ("pypy", 3, 3),
-    ]
-    for name, i, j in names:
+    for name, (i, j) in COVARIANCE_ENTRIES.items():
         lines.append(f"cov_{name}={formats.fmt(cov.sigma[i, j])}")
     lines.append(f"det_sigma={formats.fmt(cov.det_sigma())}")
     lines.append(f"delta={formats.fmt(report.delta)}")
@@ -278,12 +240,8 @@ def cmd_entangle(args) -> int:
         lines.append(f"# note={note}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if out is not None:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return 3
+    if args.out is not None:
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -293,33 +251,27 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _command_config(args)
-    out = _resolve(args, config, "out", None, str)
-    if out is None:
+    if args.out is None:
         raise UsageError("--out is required")
-    relation = _resolve(args, config, "relation", "zeta", str)
-    if relation == "zeta":
-        c0_default, c1_default = math.log(5.0) / 4.0, 0.5
-    elif relation == "sigma-proportional":
-        # sigma_y = sqrt(5) sigma_x is linear in zeta with unit slope
-        c0_default, c1_default = math.log(5.0) / 4.0, 1.0
-    else:
+    # both presets start at zeta_y = ln(5)/4; sigma_y = sqrt(5) sigma_x is
+    # linear in zeta with unit slope
+    c1_default = {"zeta": 0.5, "sigma-proportional": 1.0}.get(args.relation)
+    if c1_default is None:
         raise UsageError("--relation must be zeta or sigma-proportional")
-    m_list_raw = _resolve(args, config, "m_list", "0,1,2,3,4,5", str)
     try:
-        m_list = tuple(int(tok) for tok in str(m_list_raw).split(",") if tok != "")
+        m_list = tuple(int(tok) for tok in args.m_list.split(",") if tok != "")
     except ValueError as exc:
-        raise UsageError(f"bad --m-list {m_list_raw!r}") from exc
+        raise UsageError(f"bad --m-list {args.m_list!r}") from exc
     try:
         sweep_config = SweepConfig(
-            zeta_x_min=_resolve(args, config, "zeta_min", -4.0, float),
-            zeta_x_max=_resolve(args, config, "zeta_max", 2.0, float),
-            n_steps=_resolve(args, config, "steps", 100, int),
-            c0=_resolve(args, config, "c0", c0_default, float),
-            c1=_resolve(args, config, "c1", c1_default, float),
+            zeta_x_min=args.zeta_min,
+            zeta_x_max=args.zeta_max,
+            n_steps=args.steps,
+            c0=math.log(5.0) / 4.0 if args.c0 is None else args.c0,
+            c1=c1_default if args.c1 is None else args.c1,
             m_list=m_list,
-            pipeline=_resolve(args, config, "pipeline", "closed-form", str),
-            sign=_resolve(args, config, "sign", 1, int),
+            pipeline=args.pipeline,
+            sign=args.sign,
         )
     except ConfigError as exc:
         raise UsageError(str(exc)) from exc
@@ -327,12 +279,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--pipeline must be closed-form or oracle")
 
     result = run_sweep(sweep_config)
-    lines = sweep_csv_lines(result, extra_meta={"relation": relation})
-    try:
-        Path(out).write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
+    lines = sweep_csv_lines(result, extra_meta={"relation": args.relation})
+    Path(args.out).write_text("\n".join(lines) + "\n")
     if result.failure is not None:
         print(f"sweep failed at {result.failure}; partial CSV retained", file=sys.stderr)
         return 2
@@ -354,10 +302,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    config = _command_config(args)
-    tol_scale = _resolve(args, config, "tol_scale", 1.0, float)
-    verbose = bool(getattr(args, "verbose", False))
-    return run_selftest(tol_scale=tol_scale, verbose=verbose)
+    return run_selftest(tol_scale=args.tol_scale, verbose=args.verbose)
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +316,26 @@ def build_parser() -> _Parser:
     _add_params(p_slice)
     _add_common(p_slice)
     p_slice.add_argument("--plane", type=str, default=None, choices=sorted(PLANES))
-    p_slice.add_argument("--n", type=int, default=None, help="samples per axis (default 257)")
-    p_slice.add_argument("--pipeline", type=str, default=None, help="closed-form (default) or oracle")
+    p_slice.add_argument("--n", type=int, default=257, help="samples per axis (default 257)")
+    p_slice.add_argument("--pipeline", type=str, default="closed-form", help="closed-form (default) or oracle")
     p_slice.add_argument("--out", type=str, default=None)
-    p_slice.add_argument("--format", type=str, default=None, help="csv (default) or pgm")
+    p_slice.add_argument("--format", type=str, default="csv", help="csv (default) or pgm")
     p_slice.set_defaults(func=cmd_slice)
 
     p_val = sub.add_parser("validate", help="adjudicate the closed form against the transform oracle")
     _add_params(p_val)
     _add_common(p_val)
-    p_val.add_argument("--n-points", type=int, default=None)
-    p_val.add_argument("--seed", type=int, default=None)
-    p_val.add_argument("--tol", type=float, default=None)
-    p_val.add_argument("--abs-floor", type=float, default=None)
+    p_val.add_argument("--n-points", type=int, default=200)
+    p_val.add_argument("--seed", type=int, default=1)
+    p_val.add_argument("--tol", type=float, default=1e-6)
+    p_val.add_argument("--abs-floor", type=float, default=1e-12)
     p_val.add_argument("--out", type=str, default=None)
     p_val.set_defaults(func=cmd_validate)
 
     p_ent = sub.add_parser("entangle", help="covariance matrix and logarithmic negativity")
     _add_params(p_ent)
     _add_common(p_ent)
-    p_ent.add_argument("--pipeline", type=str, default=None, help="oracle (default) or closed-form")
+    p_ent.add_argument("--pipeline", type=str, default="oracle", help="oracle (default) or closed-form")
     p_ent.add_argument("--fixture", type=str, default=None, help="analytic calibration fixture (tmsv)")
     p_ent.add_argument("--r", type=float, default=None, help="fixture squeezing parameter")
     p_ent.add_argument("--out", type=str, default=None)
@@ -398,22 +343,22 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="squeeze-parameter sweep with crossing detection")
     _add_common(p_sweep)
-    p_sweep.add_argument("--zeta-min", type=float, default=None)
-    p_sweep.add_argument("--zeta-max", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=None)
-    p_sweep.add_argument("--m-list", dest="m_list", type=str, default=None, help="comma-separated vorticities")
-    p_sweep.add_argument("--relation", type=str, default=None, help="zeta (default) or sigma-proportional")
+    p_sweep.add_argument("--zeta-min", type=float, default=-4.0)
+    p_sweep.add_argument("--zeta-max", type=float, default=2.0)
+    p_sweep.add_argument("--steps", type=int, default=100)
+    p_sweep.add_argument("--m-list", dest="m_list", type=str, default="0,1,2,3,4,5", help="comma-separated vorticities")
+    p_sweep.add_argument("--relation", type=str, default="zeta", help="zeta (default) or sigma-proportional")
     p_sweep.add_argument("--c0", type=float, default=None)
     p_sweep.add_argument("--c1", type=float, default=None)
-    p_sweep.add_argument("--sign", type=int, default=None, choices=(1, -1))
-    p_sweep.add_argument("--pipeline", type=str, default=None)
+    p_sweep.add_argument("--sign", type=int, default=1, choices=(1, -1))
+    p_sweep.add_argument("--pipeline", type=str, default="closed-form")
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="run the full invariant suite")
     _add_common(p_self)
     p_self.add_argument("--verbose", action="store_true")
-    p_self.add_argument("--tol-scale", dest="tol_scale", type=float, default=None,
+    p_self.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
                         help="multiply every tolerance (harness sanity: 0 must fail)")
     p_self.set_defaults(func=cmd_selftest)
     return parser
@@ -421,7 +366,11 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            _config_as_defaults(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

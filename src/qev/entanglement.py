@@ -38,6 +38,7 @@ __all__ = [
     "tmsv_covariance",
     "vacuum_covariance",
     "GAUSSIAN_APPROX_NOTE",
+    "COVARIANCE_ENTRIES",
 ]
 
 DISCRIMINANT_CLAMP = -1e-12
@@ -180,7 +181,8 @@ def log_negativity(
 # Covariances of the vortex state family
 # ---------------------------------------------------------------------------
 
-_ENTRY_TO_INDEX = {
+# covariance entry name -> (row, column) in the (x, p_x, y, p_y) order
+COVARIANCE_ENTRIES = {
     "xx": (0, 0), "xpx": (0, 1), "xy": (0, 2), "xpy": (0, 3),
     "pxpx": (1, 1), "ypx": (1, 2), "pxpy": (1, 3),
     "yy": (2, 2), "ypy": (2, 3), "pypy": (3, 3),
@@ -189,7 +191,7 @@ _ENTRY_TO_INDEX = {
 
 def _assemble(entries: dict[str, float]) -> CovarianceMatrix:
     mat = np.zeros((4, 4))
-    for name, (i, j) in _ENTRY_TO_INDEX.items():
+    for name, (i, j) in COVARIANCE_ENTRIES.items():
         mat[i, j] = entries[name]
         mat[j, i] = entries[name]
     return CovarianceMatrix(sigma=mat)

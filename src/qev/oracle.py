@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .numerics import gauss_hermite_rule, laguerre_general
 from .state import QevParams, _norm_constant_cached, intensity
-from .wigner import PLANES, Grid2D, PhasePoint, _axis_spec, _closed_kernel, _eta_coefficients, closed_form_norm_constant
+from .wigner import Grid2D, PhasePoint, _closed_kernel, _eta_coefficients, _slice_coords, closed_form_norm_constant
 
 __all__ = [
     "wigner_transform",
@@ -419,14 +419,7 @@ def oracle_slice(
     """Oracle counterpart of ``wigner.wigner_slice``: the exact W on the
     same grid and windows, so slice structure can be compared across the
     two pipelines."""
-    if plane not in PLANES:
-        raise ConfigError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
-    name_u, name_v = PLANES[plane]
-    spec_u = _axis_spec(params, name_u, axis_u)
-    spec_v = _axis_spec(params, name_v, axis_v)
-    coords = {"x": 0.0, "y": 0.0, "p_x": 0.0, "p_y": 0.0}
-    coords[name_u] = np.linspace(spec_u[0], spec_u[1], spec_u[2])[None, :]
-    coords[name_v] = np.linspace(spec_v[0], spec_v[1], spec_v[2])[:, None]
+    spec_u, spec_v, coords = _slice_coords(params, plane, axis_u, axis_v)
     return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=_exact_wigner(params, **coords))
 
 

@@ -120,9 +120,10 @@ def _side_label(value: float, lo: int, hi: int) -> str:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate the monotone over the grid, then bracket and refine crossings.
 
-    Points run in grid order.  A numeric failure at any point stops the
-    scan; the rows computed so far are retained and the failure is recorded
-    so the writer can append a FAILED sentinel.
+    Points run in grid order.  A numeric failure at any point (a
+    ``QevError``, or a float overflow or division by zero) stops the scan;
+    the rows computed so far are retained and the failure is recorded so the
+    writer can append a FAILED sentinel.
     """
     zeta = np.linspace(config.zeta_x_min, config.zeta_x_max, config.n_steps)
     sigma = np.exp(2.0 * zeta)
@@ -133,7 +134,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     for i, z in enumerate(zeta.tolist()):
         try:
             en[i] = [_en_at(config, z, m) for m in config.m_list]
-        except QevError as exc:
+        except (QevError, ArithmeticError) as exc:
             failure = f"point {i} (zeta_x={z:.6f}): {exc}"
             break
         n_completed += 1

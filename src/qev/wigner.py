@@ -229,6 +229,22 @@ def _axis_spec(params: QevParams, axis: str, spec: tuple[float, float, int] | in
     return tuple(spec)
 
 
+def _slice_coords(params: QevParams, plane: str, axis_u, axis_v):
+    """Axis specs and coordinates of a ``wigner_slice`` grid: u varies along
+    columns, v along rows, and the complementary two coordinates are zero."""
+    if plane not in PLANES:
+        raise ConfigError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
+    name_u, name_v = PLANES[plane]
+    spec_u = _axis_spec(params, name_u, axis_u)
+    spec_v = _axis_spec(params, name_v, axis_v)
+    if spec_u[2] < 2 or spec_v[2] < 2:
+        raise ConfigError("grid axes need at least 2 samples")
+    coords = {"x": 0.0, "y": 0.0, "p_x": 0.0, "p_y": 0.0}
+    coords[name_u] = np.linspace(spec_u[0], spec_u[1], spec_u[2])[None, :]
+    coords[name_v] = np.linspace(spec_v[0], spec_v[1], spec_v[2])[:, None]
+    return spec_u, spec_v, coords
+
+
 def wigner_slice(
     params: QevParams,
     plane: str,
@@ -240,22 +256,8 @@ def wigner_slice(
     ``axis_u``/``axis_v`` may be (min, max, count) triples, a bare count (the
     default window is used), or None (257-point default window).
     """
-    if plane not in PLANES:
-        raise ConfigError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
-    name_u, name_v = PLANES[plane]
-    spec_u = _axis_spec(params, name_u, axis_u)
-    spec_v = _axis_spec(params, name_v, axis_v)
-    if spec_u[2] < 2 or spec_v[2] < 2:
-        raise ConfigError("grid axes need at least 2 samples")
-    u = np.linspace(spec_u[0], spec_u[1], spec_u[2])
-    v = np.linspace(spec_v[0], spec_v[1], spec_v[2])
-    k_num = closed_form_norm_constant(params)
-
-    coords = {"x": 0.0, "y": 0.0, "p_x": 0.0, "p_y": 0.0}
-    coords[name_u] = u[None, :]
-    coords[name_v] = v[:, None]
-    values = k_num * _closed_kernel(params, coords["x"], coords["y"], coords["p_x"], coords["p_y"])
-
+    spec_u, spec_v, coords = _slice_coords(params, plane, axis_u, axis_v)
+    values = closed_form_norm_constant(params) * _closed_kernel(params, **coords)
     return Grid2D(plane=plane, axis_u=spec_u, axis_v=spec_v, values=values)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,7 +259,84 @@ class TestSweep:
         assert any(l.startswith("FAILED,") for l in lines)
 
 
+    def test_overflowing_point_keeps_partial_csv(self, tmp_path, capsys):
+        # sigma_x = exp(-800) underflows to 0.0 at the first point, so the
+        # closed form divides by zero there; the scan stops as at any failed
+        # point and keeps its CSV
+        out = tmp_path / "F"
+        code = main(["sweep", "--zeta-min", "-400", "--zeta-max", "0", "--steps", "3", "--out", str(out)])
+        assert code == 2
+        lines = out.read_text().splitlines()
+        assert lines[-2] == "zeta_x,sigma_x,E_N_m0,E_N_m1,E_N_m2,E_N_m3,E_N_m4,E_N_m5"
+        assert lines[-1] == "FAILED,point 0 (zeta_x=-400.000000): float division by zero"
+        assert "partial CSV retained" in capsys.readouterr().err
+
+
+# subcommand -> (every valued flag it is given, one key that a config file
+# sets wrong and a flag corrects); "OUT" stands for a file in the run's folder
+_CONFIG_CASES = {
+    "slice": ({"m": "2", "sigma-x": "5", "sigma-y": "3", "sign": "-1", "plane": "xpx", "n": "17",
+               "pipeline": "oracle", "format": "pgm", "quad-order": "12", "threads": "2", "out": "OUT"},
+              ("n", "33")),
+    "validate": ({"m": "0", "zeta-x": "0.3", "zeta-y": "-0.2", "n-points": "12", "seed": "4",
+                  "tol": "1e-5", "abs-floor": "1e-11", "out": "OUT"},
+                 ("seed", "9")),
+    "entangle": ({"m": "2", "sigma-x": "5", "sigma-y": "3", "pipeline": "closed-form", "out": "OUT"},
+                 ("pipeline", "oracle")),
+    "sweep": ({"zeta-min": "-1", "zeta-max": "0", "steps": "3", "m-list": "0,1",
+               "relation": "sigma-proportional", "c0": "0.1", "c1": "0.9", "sign": "-1",
+               "pipeline": "oracle", "out": "OUT"},
+              ("steps", "5")),
+    "selftest": ({"tol-scale": "2"}, ("tol-scale", "0")),
+}
+
+
+def _run_with(folder, command, config, flags, capsys):
+    """Exit code, stdout (run time dropped) and files of one run in ``folder``."""
+    value = lambda v: str(folder / "result") if v == "OUT" else v
+    argv = [command] + [tok for k, v in flags.items() for tok in (f"--{k}", value(v))]
+    if config:
+        cfg = folder.with_suffix(".cfg")
+        cfg.write_text("".join(f"{k}={value(v)}\n" for k, v in config.items()))
+        argv += ["--config", str(cfg)]
+    folder.mkdir()
+    code = main(argv)
+    out = re.sub(r" in [0-9.]+s$", "", capsys.readouterr().out, flags=re.M)
+    return code, out, {p.name: p.read_bytes() for p in sorted(folder.iterdir())}
+
+
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("command", sorted(_CONFIG_CASES))
+    def test_config_file_matches_flags(self, tmp_path, capsys, command):
+        values, (key, wrong) = _CONFIG_CASES[command]
+        by_flags = _run_with(tmp_path / "flags", command, {}, values, capsys)
+        code, out, files = by_flags
+        assert code == 0 and out and (files or command == "selftest")
+        assert _run_with(tmp_path / "config", command, values, {}, capsys) == by_flags
+        # a flag overrides the config file's value for the same key
+        overridden = _run_with(tmp_path / "override", command, {**values, key: wrong}, {key: values[key]}, capsys)
+        assert overridden == by_flags
+
+    def test_keys_naming_no_valued_flag_ignored(self, tmp_path, capsys):
+        plain = _run_with(tmp_path / "plain", "selftest", {}, {}, capsys)
+        junk = {"func": "x", "command": "slice", "config": "/no/such/file", "verbose": "true", "bogus": "1"}
+        assert _run_with(tmp_path / "junk", "selftest", junk, {}, capsys) == plain
+
+    @pytest.mark.parametrize("line, message", [
+        ("m=one", "argument --m: invalid int value: 'one'"),
+        ("threads=0", "argument --threads: must be >= 1"),
+        ("quad-order=many", "argument --quad-order: invalid int value: 'many'"),
+        ("plane=zz", "--plane must be one of"),
+    ])
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"m=1\nsigma-x=1\nsigma-y=1\nplane=xy\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert main(["slice", "--config", str(cfg), "--n", "9", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("m=0\nsigma-x=1\nsigma-y=1\n")
@@ -288,7 +366,6 @@ class TestArithmeticFailure:
     @pytest.mark.parametrize("argv", [
         ["entangle", "--m", "1", "--zeta-x", "400", "--zeta-y", "0"],
         ["slice", "--m", "1", "--zeta-x", "400", "--zeta-y", "0", "--plane", "xy", "--n", "5", "--out", "F"],
-        ["sweep", "--zeta-min", "-400", "--zeta-max", "0", "--steps", "3", "--out", "F"],
         ["entangle", "--m", "1", "--sigma-x", "1e308", "--sigma-y", "1"],
         ["slice", "--m", "1000", "--sigma-x", "5", "--sigma-y", "3", "--plane", "xy", "--n", "5", "--out", "F"],
     ])
@@ -301,3 +378,16 @@ class TestArithmeticFailure:
         assert err.startswith("numeric failure: OverflowError: ") or err.startswith(
             "numeric failure: ZeroDivisionError: "
         )
+
+
+@pytest.mark.parametrize("argv", [
+    ["slice", "--m", "0", "--sigma-x", "1", "--sigma-y", "1", "--plane", "xy", "--n", "9", "--format", "pgm"],
+    ["validate", "--m", "0", "--sigma-x", "1", "--sigma-y", "1", "--n-points", "5"],
+    ["entangle", "--m", "0", "--sigma-x", "1", "--sigma-y", "1"],
+    ["sweep", "--steps", "3", "--m-list", "0"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "no-such-dir" / "result"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: ") and str(out) in err

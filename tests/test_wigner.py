@@ -135,6 +135,14 @@ class TestWignerSlice:
         with pytest.raises(ConfigError):
             wigner_slice(p, "xy", axis_u=(0.0, 1.0, 1))
 
+    @pytest.mark.parametrize("evaluate", [wigner_slice, oracle_slice])
+    def test_both_pipelines_share_grid_checks(self, evaluate):
+        p = QevParams.from_sigma(1, 1.0, 1.0)
+        with pytest.raises(ConfigError, match="unknown plane"):
+            evaluate(p, "qq")
+        with pytest.raises(ConfigError, match="grid axes need at least 2 samples"):
+            evaluate(p, "xy", axis_u=1, axis_v=9)
+
     def test_default_windows(self):
         p = QevParams.from_sigma(1, 5.0, 3.0)
         assert default_window(p, "x") == pytest.approx((-20.0, 20.0), rel=1e-14)

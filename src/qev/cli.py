@@ -107,20 +107,16 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
 def _params_from(args) -> QevParams:
     if args.m is None:
         raise UsageError("--m is required")
-    sx, sy, zx, zy = args.sigma_x, args.sigma_y, args.zeta_x, args.zeta_y
-    if (sx is None) == (zx is None):
-        raise UsageError("give exactly one of --sigma-x or --zeta-x")
-    if (sy is None) == (zy is None):
-        raise UsageError("give exactly one of --sigma-y or --zeta-y")
-    if zx is None:
-        if sx <= 0:
-            raise UsageError("--sigma-x must be positive")
-        zx = 0.5 * math.log(sx)
-    if zy is None:
-        if sy <= 0:
-            raise UsageError("--sigma-y must be positive")
-        zy = 0.5 * math.log(sy)
-    return QevParams(m=args.m, zeta_x=zx, zeta_y=zy, sign=args.sign)
+    zeta = {}
+    for axis in "xy":
+        sigma, zeta[axis] = getattr(args, f"sigma_{axis}"), getattr(args, f"zeta_{axis}")
+        if (sigma is None) == (zeta[axis] is None):
+            raise UsageError(f"give exactly one of --sigma-{axis} or --zeta-{axis}")
+        if sigma is not None:
+            if sigma <= 0:
+                raise UsageError(f"--sigma-{axis} must be positive")
+            zeta[axis] = 0.5 * math.log(sigma)
+    return QevParams(m=args.m, zeta_x=zeta["x"], zeta_y=zeta["y"], sign=args.sign)
 
 
 def _params_meta(params: QevParams) -> dict:
@@ -138,6 +134,14 @@ def _params_meta(params: QevParams) -> dict:
 # slice
 # ---------------------------------------------------------------------------
 
+# A slice job's traced allocation peak is at most 57 bytes per grid point (both
+# pipelines, m = 0..8, n = 513 and 1025) plus the CSV writer's block.
+SLICE_BYTES_MAX = 1 << 30
+
+
+def _slice_peak_bytes(count_u: int, count_v: int) -> int:
+    return 64 * max(count_u, 0) * max(count_v, 0) + formats.CSV_BLOCK_BYTES  # the grid rejects counts below 2
+
 
 def cmd_slice(args) -> int:
     params = _params_from(args)
@@ -147,6 +151,9 @@ def cmd_slice(args) -> int:
         raise UsageError("--out is required")
     if args.format not in ("csv", "pgm"):
         raise UsageError("--format must be csv or pgm")
+    peak = _slice_peak_bytes(args.n, args.n)
+    if peak > SLICE_BYTES_MAX:
+        raise ConfigError(f"--n {args.n} needs about {peak / 2**20:.0f} MiB, over the {SLICE_BYTES_MAX / 2**20:g} MiB slice budget")
 
     if args.pipeline == "closed-form":
         grid = wigner_slice(params, args.plane, axis_u=args.n, axis_v=args.n)
@@ -223,8 +230,7 @@ def cmd_entangle(args) -> int:
     else:
         params = _params_from(args)
         cov, report = entanglement_of(params, pipeline=args.pipeline)
-        for key, value in _params_meta(params).items():
-            lines.append(f"# {key}={value if isinstance(value, str) else formats.fmt(value) if isinstance(value, float) else value}")
+        lines += formats._meta_lines(_params_meta(params))
         lines.append(f"# pipeline={report.pipeline}")
 
     for name, (i, j) in COVARIANCE_ENTRIES.items():

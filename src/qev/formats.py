@@ -8,12 +8,12 @@ fields use fixed scientific formatting with 12 mantissa digits; headers are
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
 from .oracle import ValidationReport
 from .wigner import Grid2D
 
@@ -21,79 +21,94 @@ __all__ = [
     "FORMAT_VERSION",
     "fmt",
     "write_grid_csv",
-    "read_grid_csv",
     "write_grid_pgm",
     "write_validation_jsonl",
-    "read_meta_lines",
 ]
 
 FORMAT_VERSION = "# qev v1"
+
+# write_grid_csv encodes one block of rows at a time, taking each value to
+# need CSV_VALUE_BYTES of working arrays (160 measured).
+CSV_BLOCK_BYTES = 1 << 20
+CSV_VALUE_BYTES = 256
+
+# "%.12e" of |v| = q 10**(k-12) takes q = round(t), t = |v| 10**(12-k) exact.
+# s = fl(|v| * scale) misses t by at most ulp(s)/2 <= 2**-10 (s < 1e13 < 2**44)
+# plus the correctly rounded scale's 1e13 * 2**-53 < 1.2e-3: 2.2e-3 < 2**-8.
+_TIE_WINDOW = 2.0**-8
+_FIELD = np.frombuffer(b"-0.000000000000e+000,", dtype=np.uint8)
+# _DIGITS4[n]: the four ASCII digits of n < 10**4, first in the lowest byte.
+_ASCII = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+_DIGITS4 = (_ASCII[:, None, None, None] | _ASCII[:, None, None] << 8 | _ASCII[:, None] << 16 | _ASCII << 24).astype("<u4").ravel()
 
 
 def fmt(value: float) -> str:
     return f"{value:.12e}"
 
 
+@functools.cache
+def _scales() -> np.ndarray:
+    """10**(12-k) at k + 324 for k = -324..308, parsed so correctly rounded
+    (0.3 ms); inf below k = -296, which sends subnormals to ``fmt``."""
+    return np.array([float(f"1e{12 - k}") for k in range(-324, 309)])
+
+
+def _encode_rows(block: np.ndarray) -> bytes:
+    """``fmt`` of every value, comma-joined, each row ending in a newline."""
+    v = np.asarray(block, dtype=np.float64).ravel()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = np.floor(np.log10(np.where(a > 0.0, a, 1.0))).astype(np.int64)
+        s = a * _scales()[k + 324]
+        fast = (s >= 1e12) & (s < 1e13) & (np.abs(s - np.floor(s) - 0.5) > _TIE_WINDOW)
+        q = np.where(fast, np.rint(s), 0.0).astype(np.int64)
+    slow = np.flatnonzero(~fast)  # zeros, near-ties, subnormals, k off by one
+    texts = [fmt(x) for x in a[slow].tolist()]  # "d.dddddddddddde+XX"
+    q[slow] = [int(t[0] + t[2:14]) for t in texts]
+    k[slow] = [int(t[15:]) for t in texts]
+    roll = q == 10**13  # 9.9999999999995e+N -> 1.000000000000e+(N+1)
+    q, k = np.where(roll, 10**12, q), k + roll
+
+    buf = np.empty((v.size, _FIELD.size), dtype=np.uint8)
+    buf[:] = _FIELD
+    lead, rest = np.divmod(q, 10**12)
+    buf[:, 1] = lead + ord("0")
+    buf[:, 3:15] = _DIGITS4[np.stack([rest // 10**8, rest // 10**4 % 10**4, rest % 10**4], axis=1)].view(np.uint8)
+    buf[:, 16:20] = _DIGITS4[np.abs(k)].view(np.uint8).reshape(-1, 4)
+    buf[:, 16] = np.where(k < 0, ord("-"), ord("+"))
+    buf.reshape(block.shape[0], -1, _FIELD.size)[:, -1, -1] = ord("\n")
+    keep = np.ones(buf.shape, dtype=bool)  # drop the unused sign and hundreds
+    keep[:, 0] = np.signbit(v)
+    keep[:, 17] = np.abs(k) >= 100
+    return buf[keep].tobytes()
+
+
 def _meta_lines(meta: dict) -> list[str]:
-    lines = []
-    for key, value in meta.items():
-        if isinstance(value, float):
-            value = fmt(value)
-        lines.append(f"# {key}={value}")
-    return lines
+    return [f"# {key}={fmt(value) if isinstance(value, float) else value}" for key, value in meta.items()]
+
+
+def _grid_header(kind: str, grid: Grid2D, *fields: dict) -> bytes:
+    """The ``# qev v1`` text header of the grid CSV and the PGM sidecar."""
+    lines = [FORMAT_VERSION, f"# kind={kind}", f"# plane={grid.plane}"]
+    for name, (lo, hi, count) in (("axis_u", grid.axis_u), ("axis_v", grid.axis_v)):
+        lines.append(f"# {name} min={fmt(lo)} max={fmt(hi)} count={count}")
+    for meta in fields:
+        lines += _meta_lines(meta or {})
+    return ("\n".join(lines) + "\n").encode()
 
 
 def write_grid_csv(path: str | Path, grid: Grid2D, meta: dict | None = None) -> None:
-    """Row-major grid CSV: metadata header, then one comma-joined line per row."""
-    meta = dict(meta or {})
-    lines = [FORMAT_VERSION, "# kind=slice", f"# plane={grid.plane}"]
-    lines += [
-        f"# axis_u min={fmt(grid.axis_u[0])} max={fmt(grid.axis_u[1])} count={grid.axis_u[2]}",
-        f"# axis_v min={fmt(grid.axis_v[0])} max={fmt(grid.axis_v[1])} count={grid.axis_v[2]}",
-    ]
-    lines += _meta_lines(meta)
-    number = "{:.12e}".format  # fmt's format, bound once for the whole grid
-    lines += [",".join(map(number, row.tolist())) for row in grid.values]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Row-major grid CSV: metadata header, then one comma-joined line per row.
 
-
-def read_meta_lines(path: str | Path) -> dict:
-    """Parse ``# key=value`` metadata from any of the text formats here."""
-    meta: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.startswith("# ") or "=" not in line:
-            continue
-        key, _, value = line[2:].partition("=")
-        meta[key.strip()] = value.strip()
-    return meta
-
-
-def read_grid_csv(path: str | Path) -> tuple[Grid2D, dict]:
-    text = Path(path).read_text().splitlines()
-    if not text or text[0] != FORMAT_VERSION:
-        raise ConfigError(f"{path}: not a qev v1 file")
-    meta: dict[str, str] = {}
-    axes = {}
-    rows = []
-    plane = None
-    for line in text[1:]:
-        if line.startswith("# "):
-            body = line[2:]
-            if body.startswith("axis_u ") or body.startswith("axis_v "):
-                name, spec = body.split(" ", 1)
-                parts = dict(item.split("=") for item in spec.split())
-                axes[name] = (float(parts["min"]), float(parts["max"]), int(parts["count"]))
-            elif body.startswith("plane="):
-                plane = body.split("=", 1)[1]
-            elif "=" in body:
-                key, _, value = body.partition("=")
-                meta[key] = value
-        elif line:
-            rows.append([float(v) for v in line.split(",")])
-    if plane is None or "axis_u" not in axes or "axis_v" not in axes:
-        raise ConfigError(f"{path}: missing plane or axis metadata")
-    grid = Grid2D(plane=plane, axis_u=axes["axis_u"], axis_v=axes["axis_v"], values=np.array(rows))
-    return grid, meta
+    Fields are the bytes of ``fmt``, encoded and written a block of rows at a
+    time so the whole text never sits in memory.
+    """
+    values = grid.values
+    rows = max(1, CSV_BLOCK_BYTES // (CSV_VALUE_BYTES * values.shape[1]))
+    with open(path, "wb") as out:
+        out.write(_grid_header("slice", grid, meta))
+        for start in range(0, values.shape[0], rows):
+            out.write(_encode_rows(values[start:start + rows]))
 
 
 def write_grid_pgm(path: str | Path, grid: Grid2D, meta: dict | None = None) -> None:
@@ -114,16 +129,7 @@ def write_grid_pgm(path: str | Path, grid: Grid2D, meta: dict | None = None) -> 
     header = f"P5\n{nu} {nv}\n65535\n".encode("ascii")
     payload = scaled.astype(">u2").tobytes()
     path.write_bytes(header + payload)
-
-    side = [FORMAT_VERSION, "# kind=pgm-meta", f"# plane={grid.plane}"]
-    side += [
-        f"# axis_u min={fmt(grid.axis_u[0])} max={fmt(grid.axis_u[1])} count={grid.axis_u[2]}",
-        f"# axis_v min={fmt(grid.axis_v[0])} max={fmt(grid.axis_v[1])} count={grid.axis_v[2]}",
-        f"# value_min={fmt(lo)}",
-        f"# value_max={fmt(hi)}",
-    ]
-    side += _meta_lines(dict(meta or {}))
-    path.with_suffix(path.suffix + ".meta").write_text("\n".join(side) + "\n")
+    path.with_suffix(path.suffix + ".meta").write_bytes(_grid_header("pgm-meta", grid, {"value_min": lo, "value_max": hi}, meta))
 
 
 def write_validation_jsonl(path: str | Path, report: ValidationReport, meta: dict | None = None) -> None:
@@ -134,20 +140,9 @@ def write_validation_jsonl(path: str | Path, report: ValidationReport, meta: dic
     """
     lines = []
     for rec in report.records:
-        lines.append(json.dumps({
-            "index": rec.index,
-            "x": rec.point.x,
-            "y": rec.point.y,
-            "p_x": rec.point.p_x,
-            "p_y": rec.point.p_y,
-            "closed_value": rec.closed_value,
-            "oracle_value": rec.oracle_value,
-            "abs_err": rec.abs_err,
-            "rel_err": rec.rel_err,
-            "imag_residual": rec.imag_residual,
-            "rule_order": rec.rule_order,
-            "verdict": rec.verdict,
-        }))
+        record = {"index": rec.index, **vars(rec.point), **vars(rec)}  # the point's x, y, p_x, p_y after index
+        del record["point"]
+        lines.append(json.dumps(record))
     summary = {
         "summary": True,
         "m": report.params.m,

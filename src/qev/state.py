@@ -17,6 +17,7 @@ N (the ratio of the two is reported for traceability).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,8 +53,9 @@ class QevParams:
     def __post_init__(self) -> None:
         if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool) or self.m < 0:
             raise ConfigError(f"vorticity m must be a non-negative integer, got {self.m!r}")
-        if not (math.isfinite(self.zeta_x) and math.isfinite(self.zeta_y)):
-            raise DomainError("squeezing parameters must be finite")
+        for axis, zeta in (("x", self.zeta_x), ("y", self.zeta_y)):
+            if not (2.0 * zeta <= math.log(sys.float_info.max) and math.exp(2.0 * zeta) > 0.0):  # false for nan
+                raise DomainError(f"width sigma_{axis} = exp(2 zeta_{axis}) is not a finite positive float at zeta_{axis} = {zeta!r}")
         if self.sign not in (+1, -1):
             raise ConfigError(f"sign must be +1 or -1, got {self.sign!r}")
 

@@ -210,19 +210,15 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 def sweep_csv_lines(result: SweepResult, extra_meta: dict | None = None) -> list[str]:
     """The CSV serialization: header metadata, data rows, crossing trailer."""
-    from .formats import FORMAT_VERSION, fmt
+    from .formats import FORMAT_VERSION, _meta_lines, fmt
 
     cfg = result.config
     lines = [FORMAT_VERSION, "# kind=sweep", f"# pipeline={cfg.pipeline}"]
     lines.append(
         f"# relation zeta_y = c0 + c1*zeta_x with c0={fmt(cfg.c0)} c1={fmt(cfg.c1)}"
     )
-    lines.append(f"# m_list={','.join(str(m) for m in cfg.m_list)}")
-    lines.append(f"# sign={cfg.sign:+d}")
-    lines.append(f"# n_steps={cfg.n_steps}")
-    lines.append(f"# crossing_reference_sigma_x={fmt(REFERENCE_CRITICAL_SIGMA_X)}")
-    for key, value in (extra_meta or {}).items():
-        lines.append(f"# {key}={value}")
+    lines += _meta_lines({"m_list": ",".join(map(str, cfg.m_list)), "sign": f"{cfg.sign:+d}", "n_steps": cfg.n_steps,
+                          "crossing_reference_sigma_x": REFERENCE_CRITICAL_SIGMA_X, **(extra_meta or {})})
     for note in result.annotations:
         lines.append(f"# {note}")
     for ordering in result.orderings:

@@ -3,13 +3,35 @@
 import json
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from qev import cli, formats
 from qev.cli import main
-from qev.formats import FORMAT_VERSION, _meta_lines, fmt, read_grid_csv, read_meta_lines, write_grid_csv
-from qev.wigner import Grid2D
+from qev.formats import FORMAT_VERSION, _meta_lines, fmt, write_grid_csv
+from qev.oracle import oracle_slice
+from qev.state import QevParams
+from qev.wigner import PLANES, Grid2D, wigner_slice
+
+
+def read_meta_lines(path):
+    """``# key=value`` metadata of any of the text output formats."""
+    meta = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("# ") and "=" in line:
+            key, _, value = line[2:].partition("=")
+            meta[key.strip()] = value.strip()
+    return meta
+
+
+def read_grid_values(path):
+    """The value rows of a grid CSV."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == FORMAT_VERSION
+    return np.array([[float(v) for v in line.split(",")] for line in lines if not line.startswith("# ")])
 
 
 def run(argv, capsys=None):
@@ -27,8 +49,8 @@ class TestSlice:
         assert out.exists()
         assert "significant extrema:" in captured
         assert "raw strict extrema:" in captured
-        grid, meta = read_grid_csv(out)
-        assert grid.values.shape == (129, 129)
+        meta = read_meta_lines(out)
+        assert read_grid_values(out).shape == (129, 129)
         assert meta["pipeline"] == "closed-form"
         assert float(meta["k_num"]) < 0  # odd vorticity
 
@@ -72,8 +94,7 @@ class TestSlice:
         code = main(["slice", "--m", "1", "--sigma-x", "1", "--sigma-y", "1",
                      "--plane", "xy", "--n", "33", "--out", str(out), "--pipeline", "oracle"])
         assert code == 0
-        _, meta = read_meta_lines(out), read_meta_lines(out)
-        assert meta["pipeline"] == "oracle"
+        assert read_meta_lines(out)["pipeline"] == "oracle"
 
     def test_pgm_roundtrip_against_csv(self, tmp_path):
         base = ["slice", "--m", "0", "--sigma-x", "1", "--sigma-y", "1",
@@ -82,7 +103,7 @@ class TestSlice:
         pgm_path = tmp_path / "g.pgm"
         assert main(base + ["--out", str(csv_path)]) == 0
         assert main(base + ["--out", str(pgm_path), "--format", "pgm"]) == 0
-        grid, _ = read_grid_csv(csv_path)
+        values = read_grid_values(csv_path)
         raw = pgm_path.read_bytes()
         header, payload = raw.split(b"\n65535\n", 1)
         assert header.startswith(b"P5\n33 33")
@@ -91,13 +112,36 @@ class TestSlice:
         lo, hi = float(meta["value_min"]), float(meta["value_max"])
         restored = lo + pixels / 65535.0 * (hi - lo)
         # 16-bit quantization of the min-max normalized grid
-        assert np.max(np.abs(restored - grid.values)) <= (hi - lo) / 65535.0
+        assert np.max(np.abs(restored - values)) <= (hi - lo) / 65535.0
 
     def test_usage_errors_exit_1(self, tmp_path):
         assert main(["slice", "--m", "1", "--plane", "xy", "--out", "x.csv"]) == 1
         assert main(["slice", "--m", "1", "--sigma-x", "1", "--sigma-y", "1",
                      "--out", str(tmp_path / "x.csv")]) == 1  # missing plane
         assert main(["nonsense"]) == 1
+
+    def test_peak_estimate_bounds_traced_slice(self, tmp_path):
+        # the oracle pipeline at high m allocates the most per grid point
+        tracemalloc.start()
+        try:
+            code = main(["slice", "--m", "8", "--sigma-x", "5", "--sigma-y", "3", "--plane", "xpx",
+                         "--n", "97", "--pipeline", "oracle", "--out", str(tmp_path / "o.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= cli._slice_peak_bytes(97, 97)
+        assert cli._slice_peak_bytes(4000, 4000) <= cli.SLICE_BYTES_MAX < cli._slice_peak_bytes(4097, 4097)
+        assert cli._slice_peak_bytes(-9000, -9000) == formats.CSV_BLOCK_BYTES  # left to the grid's count check
+
+    def test_n_over_slice_budget_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SLICE_BYTES_MAX", cli._slice_peak_bytes(33, 33))
+        base = ["slice", "--m", "1", "--sigma-x", "1", "--sigma-y", "1", "--plane", "xy", "--out"]
+        assert main(base + [str(tmp_path / "a.csv"), "--n", "33"]) == 0
+        assert main(base + [str(tmp_path / "b.csv"), "--n", "34"]) == 1
+        err = capsys.readouterr().err
+        assert "error: --n 34 needs about" in err and f"over the {cli.SLICE_BYTES_MAX / 2**20:g} MiB slice budget" in err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_io_error_exit_3(self, tmp_path):
         code = main(["slice", "--m", "0", "--sigma-x", "1", "--sigma-y", "1",
@@ -128,6 +172,66 @@ def test_grid_csv_bytes_match_per_element_fmt(tmp_path):
     out = tmp_path / "g.csv"
     write_grid_csv(out, grid, meta)
     assert out.read_bytes() == _per_element_grid_csv(grid, meta)
+
+
+def _csv_matches_fmt(tmp_path, values) -> bool:
+    """write_grid_csv's bytes equal the per-element ``fmt`` reference, and
+    encoding raises no RuntimeWarning."""
+    rows, cols = values.shape
+    grid = Grid2D(plane="xy", axis_u=(-1.0, 1.0, cols), axis_v=(-1.0, 1.0, rows), values=values)
+    out = tmp_path / "g.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        write_grid_csv(out, grid)
+    return out.read_bytes() == _per_element_grid_csv(grid, {})
+
+
+class TestGridCsvEncoder:
+    def test_powers_of_ten(self, tmp_path):
+        p = np.array([float(f"1e{e}") for e in range(-23, 23)])
+        assert _csv_matches_fmt(tmp_path, np.stack([p, np.nextafter(p, 0.0), np.nextafter(p, 1.0e300), -p]))
+
+    def test_half_ties_and_roll_over(self, tmp_path):
+        q = np.random.default_rng(5).integers(10**12, 10**13, 24)
+        # nearest floats to (q + 1/2) 10**k, exact ties (q + 1/2) 10**j, and
+        # multiples of 2**-20 (9.5367431640625e-07 has 14 digits)
+        near = [float(f"{n}.5e{k}") for n in q.tolist() for k in range(-300, 290, 7)]
+        exact = [(n + 0.5) * 10**j for n in q.tolist() for j in range(3)]
+        dyadic = (np.arange(1, 241) * 2.0**-20).tolist()
+        roll = [float(f"{d}e{e}") for d in ("9.9999999999995", "9.99999999999951", "9.99999999999949")
+                for e in (-300, -100, -99, -5, 0, 5, 99, 100, 300)]
+        values = np.array(near + exact + dyadic + roll + [-x for x in roll])
+        assert _csv_matches_fmt(tmp_path, values[: values.size // 6 * 6].reshape(6, -1))
+        assert fmt(9.99999999999951) == "1.000000000000e+01"
+
+    def test_large_exponents_subnormals_and_signed_zeros(self, tmp_path):
+        row = [1e100, 1e-100, 9.9e99, 1e-99, 1.7976931348623157e308, 2.2250738585072014e-308,
+               5e-324, 1e-310, 3.3e-320, 0.0, 123.0, 1e-300]
+        assert _csv_matches_fmt(tmp_path, np.array([row, [-x for x in row]]))
+
+    def test_random_exponents(self, tmp_path):
+        rng = np.random.default_rng(3)
+        mantissa = rng.uniform(-9.99, 9.99, (40, 50))
+        values = mantissa * 10.0 ** rng.integers(-330, 307, (40, 50)).astype(float)
+        assert _csv_matches_fmt(tmp_path, values)
+
+    @pytest.mark.parametrize("pipeline", [wigner_slice, oracle_slice], ids=["closed-form", "oracle"])
+    def test_real_slices(self, tmp_path, pipeline):
+        # every 16th row of each 257^2 slice: the per-element reference costs
+        # 40 ms per full grid
+        for m in range(6):
+            for plane in PLANES:
+                values = pipeline(QevParams.from_sigma(m, 5.0, 3.0), plane, axis_u=257, axis_v=257).values
+                assert _csv_matches_fmt(tmp_path, values[::16]), (m, plane)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 4, 11])
+    def test_rows_not_a_multiple_of_the_block(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(formats, "CSV_BLOCK_BYTES", block_rows * 7 * formats.CSV_VALUE_BYTES)
+        encode, blocks = formats._encode_rows, []
+        monkeypatch.setattr(formats, "_encode_rows", lambda block: blocks.append(len(block)) or encode(block))
+        values = np.random.default_rng(block_rows).standard_normal((10, 7))
+        assert _csv_matches_fmt(tmp_path, values)
+        assert blocks == [block_rows] * (10 // block_rows) + ([10 % block_rows] if 10 % block_rows else [])
 
 
 class TestValidate:
@@ -260,15 +364,16 @@ class TestSweep:
 
 
     def test_overflowing_point_keeps_partial_csv(self, tmp_path, capsys):
-        # sigma_x = exp(-800) underflows to 0.0 at the first point, so the
-        # closed form divides by zero there; the scan stops as at any failed
+        # sigma_x = exp(-800) underflows to 0.0 at the first point, which the
+        # state rejects by naming the width; the scan stops as at any failed
         # point and keeps its CSV
         out = tmp_path / "F"
         code = main(["sweep", "--zeta-min", "-400", "--zeta-max", "0", "--steps", "3", "--out", str(out)])
         assert code == 2
         lines = out.read_text().splitlines()
         assert lines[-2] == "zeta_x,sigma_x,E_N_m0,E_N_m1,E_N_m2,E_N_m3,E_N_m4,E_N_m5"
-        assert lines[-1] == "FAILED,point 0 (zeta_x=-400.000000): float division by zero"
+        assert lines[-1] == ("FAILED,point 0 (zeta_x=-400.000000): width sigma_x = exp(2 zeta_x) "
+                             "is not a finite positive float at zeta_x = -400.0")
         assert "partial CSV retained" in capsys.readouterr().err
 
 
@@ -364,20 +469,33 @@ class TestConfigPrecedence:
 
 class TestArithmeticFailure:
     @pytest.mark.parametrize("argv", [
-        ["entangle", "--m", "1", "--zeta-x", "400", "--zeta-y", "0"],
-        ["slice", "--m", "1", "--zeta-x", "400", "--zeta-y", "0", "--plane", "xy", "--n", "5", "--out", "F"],
+        ["entangle", "--m", "1", "--zeta-x", "200", "--zeta-y", "0"],
+        ["slice", "--m", "1", "--zeta-x", "200", "--zeta-y", "0", "--plane", "xy", "--n", "5", "--out", "F"],
         ["entangle", "--m", "1", "--sigma-x", "1e308", "--sigma-y", "1"],
         ["slice", "--m", "1000", "--sigma-x", "5", "--sigma-y", "3", "--plane", "xy", "--n", "5", "--out", "F"],
     ])
     def test_overflow_exits_2(self, tmp_path, capsys, argv):
-        # widths or powers beyond float64 range overflow or divide by zero
-        # inside float arithmetic; the CLI reports that as a numeric failure
+        # widths whose squares, or powers, leave float64 range overflow or
+        # divide by zero inside float arithmetic; the CLI reports that as a
+        # numeric failure
         argv = [str(tmp_path / "F") if a == "F" else a for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: OverflowError: ") or err.startswith(
             "numeric failure: ZeroDivisionError: "
         )
+
+
+    @pytest.mark.parametrize("argv", [
+        ["entangle", "--m", "1", "--zeta-x", "400", "--zeta-y", "0"],
+        ["slice", "--m", "1", "--zeta-x", "0", "--zeta-y", "-400", "--plane", "xy", "--n", "5", "--out", "F"],
+    ])
+    def test_width_outside_float_range_exits_1(self, tmp_path, capsys, argv):
+        # exp(2 zeta) overflows or underflows to 0: the state names the width
+        argv = [str(tmp_path / "F") if a == "F" else a for a in argv]
+        assert main(argv) == 1
+        assert "error: width sigma_" in capsys.readouterr().err
+        assert not (tmp_path / "F").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,6 +45,16 @@ class TestQevParams:
         with pytest.raises(DomainError):
             QevParams(m=1, zeta_x=float("inf"), zeta_y=0.0)
 
+    @pytest.mark.parametrize("zeta", [354.9, -372.6, float("nan"), float("-inf")])
+    def test_width_outside_float_range(self, zeta):
+        # exp(2 zeta) overflows above ~354.89 and underflows to 0 below ~-372.57
+        with pytest.raises(DomainError, match="width sigma_y"):
+            QevParams(m=1, zeta_x=0.0, zeta_y=zeta)
+
+    def test_widths_at_float_range_edges(self):
+        p = QevParams(m=1, zeta_x=354.8, zeta_y=-372.5)
+        assert math.isfinite(p.sigma_x) and p.sigma_y > 0.0
+
 
 class TestPsi:
     def test_vortex_core_null(self):

@@ -361,11 +361,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--out", type=str, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_self = sub.add_parser("selftest", help="run the full invariant suite")
+    p_self = sub.add_parser("selftest", help="measure the table of identities, one gated row each")
     _add_common(p_self)
     p_self.add_argument("--verbose", action="store_true")
     p_self.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
-                        help="multiply every tolerance (harness sanity: 0 must fail)")
+                        help="a row passes iff its error < its tolerance times this (0 fails every row)")
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

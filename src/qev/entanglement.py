@@ -79,7 +79,7 @@ class CovarianceMatrix:
     def det_sigma(self) -> float:
         return float(np.linalg.det(self.sigma))
 
-    def require_physical(self, slack: float = PHYSICALITY_SLACK) -> None:
+    def require_physical(self) -> None:
         """Uncertainty check: both physical symplectic eigenvalues >= 1/2.
 
         float64 caveat: the determinant of strongly squeezed covariances
@@ -88,7 +88,7 @@ class CovarianceMatrix:
         pushes past roughly 2.5 in either mode.
         """
         nu = symplectic_eigen_physical(self)
-        if min(nu) < 0.5 - slack:
+        if min(nu) < 0.5 - PHYSICALITY_SLACK:
             raise NumericError(
                 f"unphysical covariance: symplectic eigenvalue {min(nu):.12g} < 1/2"
             )

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 from .numerics import gauss_hermite_rule, laguerre_general
 from .state import QevParams, _norm_constant_cached, intensity
-from .wigner import Grid2D, PhasePoint, _closed_kernel, _eta_coefficients, _slice_coords, closed_form_norm_constant
+from .wigner import Grid2D, PhasePoint, _closed_kernel, _slice_coords, closed_form_norm_constant
 
 __all__ = [
     "wigner_transform",
@@ -225,30 +224,21 @@ def wigner_cross_purity(params_a: QevParams, params_b: QevParams) -> float:
 
 @dataclass(frozen=True)
 class MarginalReport:
-    pipeline: str
     grid_shape: tuple[int, int]
     max_abs_deviation: float
 
 
-def marginal_check(params: QevParams, pipeline: str = "oracle") -> MarginalReport:
-    """Compare the momentum-integrated W against |psi|^2 on a position grid.
+def marginal_check(params: QevParams) -> MarginalReport:
+    """Compare the momentum-integrated exact W against |psi|^2 on a position grid.
 
     The grid has 65 points per axis over +-4 sigma_max.
-    Report-only: the closed-form pipeline may legitimately deviate, and the
-    deviation feeds the discrepancy records.
     """
     smax = max(params.sigma_x, params.sigma_y)
     x = np.linspace(-4.0 * smax, 4.0 * smax, 65)
     y = x
     target = intensity(params, x[:, None], y[None, :])
-    if pipeline == "oracle":
-        marg = _oracle_marginal(params, x, y)
-    elif pipeline == "closed-form":
-        marg = _closed_form_marginal(params, x, y)
-    else:
-        raise ConfigError(f"unknown pipeline {pipeline!r}")
-    dev = float(np.max(np.abs(marg - target)))
-    return MarginalReport(pipeline=pipeline, grid_shape=(x.size, y.size), max_abs_deviation=dev)
+    dev = float(np.max(np.abs(_oracle_marginal(params, x, y) - target)))
+    return MarginalReport(grid_shape=(x.size, y.size), max_abs_deviation=dev)
 
 
 def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -263,29 +253,6 @@ def _oracle_marginal(params: QevParams, x: np.ndarray, y: np.ndarray) -> np.ndar
     s = (y / sy)[None, :]
     factor = _polynomial_factor(params, t[..., None, None], s[..., None, None], q_t, q_s)
     return np.exp(-t * t - s * s) * np.sum(w2 * factor, axis=(2, 3)) / (sx * sy)
-
-
-def _closed_form_marginal(params: QevParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Momentum integral of the normalized closed form on a position grid.
-
-    With mu = c_x t + c_y s and rho_q = c_px^2 + c_py^2 it is K_num pi
-    e^{-t^2-s^2} / (sigma_x sigma_y) times (-1)^m / (4^m m!) sum_k h_k
-    mu^{2k} (1 - rho_q)^{m-k}, h_k the u^{2k} coefficient of H_{2m}(u),
-    because L_m^{-1/2}(u^2) = (-1)^m H_{2m}(u) / (4^m m!).
-    """
-    sx, sy, m = params.sigma_x, params.sigma_y, params.m
-    c, _ = _eta_coefficients(params)
-    t = (x / sx)[:, None]
-    s = (y / sy)[None, :]
-    mu_sq = (c[0] * t + c[1] * s) ** 2
-    a = 1.0 - (c[2] ** 2 + c[3] ** 2)
-    series = 0.0
-    for k in range(m + 1):
-        # (-1)^m h_k / (4^m m!), exact before its one rounding
-        denom = 4**m * math.factorial(m) * math.factorial(m - k) * math.factorial(2 * k)
-        coeff = Fraction((-1) ** k * math.factorial(2 * m) * 4**k, denom)
-        series = series + float(coeff) * mu_sq**k * a ** (m - k)
-    return closed_form_norm_constant(params) * (math.pi / (sx * sy)) * np.exp(-t * t - s * s) * series
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ from numpy.polynomial import laguerre as npl
 
 from qev import oracle
 from qev.errors import ConfigError
-from qev.numerics import gauss_hermite_rule, laguerre_assoc_half
+from qev.numerics import gauss_hermite_rule
 from qev.oracle import (
     MOMENTUM_CAP_SIGMA,
     _block_points,
-    _closed_form_marginal,
     _exact_wigner,
     marginal_check,
     oracle_covariance_entries,
@@ -26,7 +25,7 @@ from qev.oracle import (
     wigner_transform,
 )
 from qev.state import QevParams, _norm_constant_cached
-from qev.wigner import PhasePoint, alp_argument, closed_form_norm_constant
+from qev.wigner import PhasePoint, closed_form_norm_constant
 
 SIGMA_PAIRS = [(0.5, 0.5), (0.5, 3.0), (1.0, 1.0), (3.0, 5.0), (5.0, 3.0), (5.0, 5.0)]
 
@@ -250,37 +249,6 @@ class TestMarginal:
     def test_m3_within_tolerance(self):
         rep = marginal_check(QevParams.from_sigma(3, 5.0, 3.0))
         assert rep.max_abs_deviation < 1e-6
-
-    def test_closed_form_marginal_recorded(self):
-        # the closed form is not required to satisfy the marginal identity;
-        # the report records its deviation for the discrepancy ledger
-        rep = marginal_check(QevParams.from_sigma(3, 5.0, 3.0), pipeline="closed-form")
-        assert rep.pipeline == "closed-form"
-        assert rep.max_abs_deviation > 1e-6  # visibly violated at m=3
-
-    def test_closed_form_marginal_m0_exact(self):
-        rep = marginal_check(QevParams.from_sigma(0, 5.0, 3.0), pipeline="closed-form")
-        assert rep.max_abs_deviation < 1e-10
-
-    def test_closed_form_marginal_matches_row_quadrature(self):
-        # the exact marginal against a per-row 64^2 momentum rule of the
-        # printed kernel, times the same K_num
-        rule = gauss_hermite_rule(64)
-        w2 = rule.weights[:, None, None] * rule.weights[None, :, None]
-        for sx, sy in ((1.0, 1.0), (5.0, 3.0), (0.5, 3.0), (3.0, 0.5)):
-            smax = max(sx, sy)
-            x = np.linspace(-4.0 * smax, 4.0 * smax, 33)
-            for m in range(6):
-                p = QevParams.from_sigma(m, sx, sy)
-                px = rule.nodes[:, None, None] / sx
-                py = rule.nodes[None, :, None] / sy
-                want = np.empty((x.size, x.size))
-                for i, xi in enumerate(x):
-                    lag = laguerre_assoc_half(m, alp_argument(p, xi, x[None, None, :], px, py))
-                    want[i] = np.exp(-((xi / sx) ** 2) - (x / sy) ** 2) * np.sum(w2 * lag, axis=(0, 1))
-                want *= closed_form_norm_constant(p) / (sx * sy)
-                got = _closed_form_marginal(p, x, x)
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestValidation:

@@ -8,9 +8,11 @@ The oracle's object is the defining transform
 and it never touches the paper's closed-form expression, so it can
 adjudicate it.  Two evaluators exist:
 
-* ``wigner_transform`` / ``transform_points`` sum the defining integral
-  of ``psi`` exactly as a finite Hermite-Fourier series, with a
-  reality-residual check.  This is the arbiter behind
+* ``wigner_transform`` / ``transform_points`` integrate the defining
+  transform of ``psi`` exactly: on the contour shifted by the momenta the
+  integrand is the Hermite weight times a product of the vortex factors,
+  so an (m+1)^2 Gauss-Hermite rule at complex nodes is exact.  A
+  reality-residual check guards the roundoff.  This is the arbiter behind
   ``validate_closed_form``.
 
 * The exact Laguerre-Gauss form.  In scaled coordinates t = x/sigma_x,
@@ -60,7 +62,7 @@ __all__ = [
 
 REALITY_RESIDUAL_MAX = 1e-9
 MOMENTUM_CAP_SIGMA = 4.0  # validated |p| <= 4 / sigma_min
-# Bytes of coefficient tables one transform_points block may hold, so its
+# Bytes of node tables one transform_points block may hold, so its
 # peak memory does not grow with the number of points.
 TRANSFORM_BLOCK_BYTES = 8 * 2**20
 
@@ -78,11 +80,11 @@ def wigner_transform(params: QevParams, point: PhasePoint) -> float:
 def _block_points(m: int) -> int:
     """Points per ``transform_points`` block within TRANSFORM_BLOCK_BYTES.
 
-    A point holds at most three complex (2m+1)^2 coefficient tables at once.
-    Raises ConfigError, before anything is allocated, when one point alone
-    exceeds the budget.
+    A point holds at most two complex (m+1)^2 node tables and ten complex
+    rows of m+1 nodes at once.  Raises ConfigError, before anything is
+    allocated, when one point alone exceeds the budget.
     """
-    per_point = 3 * 16 * (2 * m + 1) ** 2
+    per_point = 16 * (m + 1) * (2 * (m + 1) + 10)
     if per_point > TRANSFORM_BLOCK_BYTES:
         raise ConfigError(
             f"m = {m} needs {per_point} bytes per transform point, over the "
@@ -91,52 +93,47 @@ def _block_points(m: int) -> int:
     return TRANSFORM_BLOCK_BYTES // per_point
 
 
-def _hermite_rows(a: np.ndarray, count: int) -> np.ndarray:
-    """(N, count) table of H_j(a) e^{-a^2}, j < count, by the three-term recurrence."""
-    rows = np.empty((a.size, count))
-    rows[:, 0] = np.exp(-a * a)
-    if count > 1:
-        rows[:, 1] = 2.0 * a * rows[:, 0]
-    for j in range(1, count - 1):
-        rows[:, j + 1] = 2.0 * a * rows[:, j] - 2.0 * j * rows[:, j - 1]
-    return rows
-
-
-def _hermite_fourier_sum(params: QevParams, pts: np.ndarray) -> np.ndarray:
+def _shifted_contour_sum(params: QevParams, pts: np.ndarray) -> np.ndarray:
     """The transform at one block of points; see ``transform_points``."""
     sx, sy, m, sign = params.sigma_x, params.sigma_y, params.m, params.sign
-    x, y, p_x, p_y = pts.T
-    a = x / (math.sqrt(2.0) * sx) - 1j * sign * y / (math.sqrt(2.0) * sy)
-    r = 1.0 / (2.0 * math.sqrt(2.0))
-    n = 2 * m + 1
-    # coefficients of L R with t -> i t/2 and s -> i s/2 folded in
-    coeffs = np.zeros((len(pts), n, n), dtype=np.complex128)
-    coeffs[:, 0, 0] = 1.0
-    for c0, ct, cs in [(a, 1j * r, sign * r)] * m + [(a.conj(), -1j * r, sign * r)] * m:
-        product = coeffs * c0[:, None, None]
-        product[:, 1:, :] += ct * coeffs[:, :-1, :]
-        product[:, :, 1:] += cs * coeffs[:, :, :-1]
-        coeffs = product
-    rows_t = _hermite_rows(sx * p_x, n)
-    rows_s = _hermite_rows(sy * p_y, n)
-    total = np.sum(np.sum(coeffs * rows_s[:, None, :], axis=2) * rows_t, axis=1)
-    n2 = _norm_constant_cached(params) ** 2
-    return (sx * sy * n2 / math.pi) * np.exp(-((x / sx) ** 2) - (y / sy) ** 2) * total
+    x, y, p_x, p_y = (c[:, None, None] for c in pts.T)
+    rule = gauss_hermite_rule(m + 1)
+    r = 1.0 / math.sqrt(2.0)
+    big_a = r * (x / sx - 1j * sign * y / sy)
+    t = r * (rule.nodes[:, None] + 1j * sx * p_x)  # t / sqrt(2) on the shifted contour
+    s = 1j * sign * r * (rule.nodes + 1j * sy * p_y)  # i sign s / sqrt(2)
+    left = big_a + t - s
+    right = big_a.conj() - t - s
+    # e^{-G} = g^{2m+1} is shared out over the factors, so no product
+    # overflows where e^{-G} underflows (|L R| grows like G^m)
+    g = np.exp(-((x / sx) ** 2 + (y / sy) ** 2 + (sx * p_x) ** 2 + (sy * p_y) ** 2) / (2 * m + 1))
+    left *= right
+    left *= g * g
+    np.power(left, m, out=left)
+    left *= g
+    left *= rule.weights[:, None] * rule.weights
+    return sx * sy * _norm_constant_cached(params) ** 2 / math.pi**2 * np.sum(left, axis=(1, 2))
 
 
 def transform_points(params: QevParams, points: np.ndarray, check_reality: bool = True):
-    """The defining transform at an (N, 4) array of phase points, summed exactly.
+    """The defining transform at an (N, 4) array of phase points, exactly.
 
     With u = sigma_x t, v = sigma_y s the integrand is e^{-t^2-s^2} L R
     e^{2i(a t + b s)}, with a = sigma_x p_x, b = sigma_y p_y and the vortex
     factors L = (A + (t - i sign s)/sqrt(2))^m of conj(psi)(x+u, y+v) and
     R = (conj(A) - (t + i sign s)/sqrt(2))^m of psi(x-u, y-v), where
-    A = x/(sqrt(2) sigma_x) - i sign y/(sqrt(2) sigma_y).  The coefficients
-    of the degree-2m polynomial L R come from 2m shift-and-add products of
-    linear forms, and integral t^k e^{-t^2 + 2iat} dt =
-    sqrt(pi) (i/2)^k H_k(a) e^{-a^2}, so W is a finite sum over Hermite rows.
-    Blocks of points are sized from TRANSFORM_BLOCK_BYTES and do not change
-    any value.  Returns complex values; the imaginary parts are roundoff.
+    A = x/(sqrt(2) sigma_x) - i sign y/(sqrt(2) sigma_y).  Completing the
+    square, e^{-t^2+2iat} = e^{-a^2} e^{-(t-ia)^2}, and shifting the contour
+    to t = u + ia, s = v + ib leaves e^{-a^2-b^2} e^{-u^2-v^2} L R, whose
+    polynomial part has degree <= 2m per axis: the order-(m+1) Gauss-Hermite
+    rule integrates it exactly, with L and R evaluated at the (m+1)^2 complex
+    nodes and never expanded.  Roundoff stays below (m+1) eps of the node
+    terms' absolute sum, at most e^{-G} e_m(c) / pi^2 (G = (x/sigma_x)^2 +
+    (y/sigma_y)^2 + a^2 + b^2, c = (x/sigma_x + sign b)^2 + (y/sigma_y -
+    sign a)^2, e_m the exponential series cut at c^m): the size of peak |W|
+    except near (x/sigma_x, y/sigma_y) = sign (b, -a), where it grows like
+    2^m.  Point blocks, sized from TRANSFORM_BLOCK_BYTES, change no value.
+    Returns complex values; the imaginary parts are roundoff.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 4:
@@ -144,13 +141,13 @@ def transform_points(params: QevParams, points: np.ndarray, check_reality: bool 
     block = _block_points(params.m)
     values = np.empty(len(pts), dtype=np.complex128)
     for start in range(0, len(pts), block):
-        values[start : start + block] = _hermite_fourier_sum(params, pts[start : start + block])
+        values[start : start + block] = _shifted_contour_sum(params, pts[start : start + block])
     imag = np.abs(values.imag)
     if check_reality and np.any(imag >= REALITY_RESIDUAL_MAX):
         worst = int(np.argmax(imag))
         raise NumericError(
             f"Wigner transform imaginary residual {imag[worst]:.3e} exceeds "
-            f"{REALITY_RESIDUAL_MAX:.1e} at point index {worst} {tuple(pts[worst])}"
+            f"{REALITY_RESIDUAL_MAX:.1e} at point index {worst} {tuple(pts[worst].tolist())}"
         )
     return values
 
@@ -269,7 +266,7 @@ class ValidationRecord:
     abs_err: float
     rel_err: float
     imag_residual: float
-    rule_order: int  # Hermite terms per axis of the exact sum, 2m + 1
+    rule_order: int  # Gauss-Hermite nodes per axis of the exact shifted-contour rule, m + 1
     verdict: str  # MATCH | MISMATCH
 
 
@@ -326,8 +323,9 @@ def validate_closed_form(
 
     verdict is MATCH iff rel_err <= tol or abs_err <= abs_floor.  Both sides
     are evaluated once over all points.  ``rule_order`` is the number of
-    Hermite terms per axis of the exact sum, 2m + 1, and
-    ``convergence_delta`` is |sum - Laguerre-Gauss W| at the first point.
+    Gauss-Hermite nodes per axis of the exact shifted-contour rule, m + 1,
+    and ``convergence_delta`` is |transform - Laguerre-Gauss W| at the first
+    point.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
@@ -335,7 +333,7 @@ def validate_closed_form(
     x, y, p_x, p_y = pts.T
     closed = closed_form_norm_constant(params) * _closed_kernel(params, x, y, p_x, p_y)
     oracle_vals = transform_points(params, pts)
-    order = 2 * params.m + 1
+    order = params.m + 1
     records = []
     n_match = 0
     max_rel = 0.0

@@ -254,6 +254,17 @@ class TestValidate:
         assert summary["n_mismatch"] > 0
         assert summary["n_match"] + summary["n_mismatch"] == summary["n_points"]
 
+    @pytest.mark.parametrize("m", [30, 40])
+    def test_high_m_returns_verdicts(self, tmp_path, m):
+        # the arbiter's roundoff stays under the reality gate at high m
+        out = tmp_path / "v.jsonl"
+        code = main(["validate", "--m", str(m), "--sigma-x", "5", "--sigma-y", "3",
+                     "--n-points", "8", "--out", str(out)])
+        assert code in (0, 3)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(records) == 9 and {r["verdict"] for r in records[:-1]} <= {"MATCH", "MISMATCH"}
+        assert records[-1]["rule_orders"] == [m + 1]
+
     def test_reproducible_bytes(self, tmp_path):
         args = ["validate", "--m", "1", "--sigma-x", "1", "--sigma-y", "1",
                 "--n-points", "25", "--seed", "11"]

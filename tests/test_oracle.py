@@ -2,6 +2,7 @@
 closed-form adjudication."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,41 @@ def quadrature_transform(params, pts, order):
         envelope = math.exp(-((x / sx) ** 2) - (y / sy) ** 2)
         out[i] = (sx * sy * _norm_constant_cached(params) ** 2 / math.pi**2) * envelope * node_sum
     return out
+
+
+def exact_reference(params, pts):
+    """Exact W at each point, and a bound on the transform's node terms there.
+
+    W is the Laguerre-Gauss form ((-1)^m / pi^2) e^{-Q} L_m(arg), with L_m
+    summed in exact integer arithmetic at the exact values of the float
+    scaled coordinates and rounded once; only e^{-Q} is a float.  The second
+    array is e^{-Q} e_m(arg) / pi^2, with e_m(x) = sum_{k <= m} x^k / k!: a
+    bound on the absolute sum of the shifted-contour rule's node terms:
+    |L R| <= (arg/2 + |zeta|^2)^m at a node zeta, whose Gaussian mean times
+    the normalisation 2^m / m! is e_m(arg).
+    """
+    sx, sy, m = params.sigma_x, params.sigma_y, params.m
+    lag_coeffs = [math.comb(m, k) * math.perm(m, m - k) for k in range(m + 1)]
+    exp_coeffs = [math.perm(m, m - k) for k in range(m + 1)]
+    out = np.empty((2, len(pts)))
+    for i, (x, y, p_x, p_y) in enumerate(pts):
+        # the scaled coordinates as integers over one power-of-two denominator
+        ratios = [v.as_integer_ratio() for v in (x / sx, y / sy, sx * p_x, sy * p_y)]
+        den = max(d for _, d in ratios)
+        t, s, q_t, q_s = (n * (den // d) for n, d in ratios)
+        q = t * t + s * s + q_t * q_t + q_s * q_s  # Q den^2
+        num = q + 2 * params.sign * (t * q_s - s * q_t)  # arg den^2
+        den *= den
+        # m! den^m L_m(num/den) and m! den^m e_m(num/den) by Horner
+        lag = exp_m = power = 1
+        for k in range(m - 1, -1, -1):
+            power *= den
+            lag = -lag * num + lag_coeffs[k] * power
+            exp_m = exp_m * num + exp_coeffs[k] * power
+        gauss, scale = math.exp(-q / den).as_integer_ratio()
+        scale *= math.factorial(m) * power
+        out[:, i] = (-1) ** m * lag * gauss / scale, exp_m * gauss / scale
+    return out / math.pi**2
 
 
 def cap_points(params, count, seed):
@@ -145,7 +181,7 @@ class TestTransform:
         pts = cap_points(p, 40, seed=4)
         full = transform_points(p, pts, check_reality=False)
         assert _block_points(p.m) >= len(pts)
-        per_point = 3 * 16 * (2 * p.m + 1) ** 2
+        per_point = 16 * (p.m + 1) * (2 * (p.m + 1) + 10)
         for block in (1, 7, 16):
             monkeypatch.setattr(oracle, "TRANSFORM_BLOCK_BYTES", block * per_point)
             assert _block_points(p.m) == block
@@ -166,23 +202,63 @@ class TestTransform:
             transform_points(p, np.zeros((3, 3)))
 
     def test_rule_order_counts_hermite_terms(self):
-        # one exact sum at every momentum: no order escalation
+        # one exact (m+1)-node rule at every momentum: no order escalation
         p = QevParams.from_sigma(1, 5.0, 3.0)
         rep = validate_closed_form(p, 50, seed=3)
-        assert rep.rule_orders == (3,)
-        assert {r.rule_order for r in rep.records} == {3}
+        assert rep.rule_orders == (2,)
+        assert {r.rule_order for r in rep.records} == {2}
 
     def test_block_estimator_bounds_memory(self, monkeypatch):
         # only the estimator runs on the oversized cases: nothing is allocated
         for m in (0, 1, 5, 8, 100):
             block = _block_points(m)
             assert block >= 1
-            assert block * 3 * 16 * (2 * m + 1) ** 2 <= oracle.TRANSFORM_BLOCK_BYTES
+            assert block * 16 * (m + 1) * (2 * (m + 1) + 10) <= oracle.TRANSFORM_BLOCK_BYTES
         with pytest.raises(ConfigError, match="block budget"):
             _block_points(10**4)
         monkeypatch.setattr(oracle, "TRANSFORM_BLOCK_BYTES", 100)
         with pytest.raises(ConfigError, match="block budget"):
             transform_points(QevParams.from_sigma(1, 1.0, 1.0), np.zeros((1, 4)))
+
+    def test_block_peak_memory_within_budget(self):
+        for m in (0, 2, 5, 40):
+            p = QevParams.from_sigma(m, 5.0, 3.0)
+            pts = np.random.default_rng(m).normal(size=(_block_points(m), 4))
+            transform_points(p, pts[:1])  # build the rule outside the trace
+            tracemalloc.start()
+            try:
+                oracle._shifted_contour_sum(p, pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= oracle.TRANSFORM_BLOCK_BYTES
+
+    @pytest.mark.parametrize("m", range(41))
+    def test_sum_matches_exact_reference(self, m):
+        # The rule is exact; its roundoff is under (m + 1) eps times the
+        # absolute sum of its node terms (measured: under 0.2 of that up to
+        # m = 40).  That sum is of the size of peak |W|, so 1e-11 of peak
+        # holds, except near the points where it grows like 2^m (see
+        # transform_points); 13 of these 5,248 points are there.
+        eps = np.finfo(float).eps
+        for sign in (1, -1):
+            for sx, sy in ((5.0, 3.0), (1.0, 1.0), (0.05, 0.1), (100.0, 0.01)):
+                p = QevParams.from_sigma(m, sx, sy, sign=sign)
+                pts = cap_points(p, 8, seed=300 + m)
+                want, terms = exact_reference(p, pts)
+                err = np.abs(transform_points(p, pts).real - want)
+                assert np.all(err <= 1e-11 / math.pi**2 + (m + 1) * eps * terms)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [0, 5, 40])
+    @pytest.mark.parametrize("sx,sy", [(100.0, 0.01), (0.01, 100.0)])
+    def test_cap_corners_finite_at_extreme_anisotropy(self, m, sx, sy):
+        # at the corners |L R| ~ G^m while e^{-G} underflows (G ~ 3e9)
+        p = QevParams.from_sigma(m, sx, sy)
+        pts = cap_points(p, 8, seed=m)
+        got = transform_points(p, pts).real
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - exact_reference(p, pts)[0])) <= 1e-11 / math.pi**2
 
 
 class TestNormAndPurity:

@@ -92,7 +92,6 @@ def _at_least_one(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=_at_least_one, default=1, help="accepted and validated (>= 1); every command runs on one thread")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file; flags override it")
-    parser.add_argument("--quad-order", type=int, default=64, help="accepted and validated; slice records it as quad_order; changes no value in any command")
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:
@@ -166,7 +165,7 @@ def cmd_slice(args) -> int:
     else:
         raise UsageError("--pipeline must be closed-form or oracle")
 
-    meta = {**_params_meta(params), "pipeline": args.pipeline, "quad_order": args.quad_order, **extra}
+    meta = {**_params_meta(params), "pipeline": args.pipeline, **extra}
     write = formats.write_grid_csv if args.format == "csv" else formats.write_grid_pgm
     write(args.out, grid, meta)
 

@@ -9,16 +9,21 @@ E_N = max(0, -ln(2 nu_min)).
 For vorticity m >= 1 the state itself is not Gaussian; covariance-based
 reports for those states are labeled as Gaussian approximations.
 
-The oracle pipeline's covariance integrates the wavefunction itself: every
-moment integrand is a Gaussian times a polynomial of degree at most 2m + 2
-per axis, so the matched Hermite lattice of order m + 2 per axis is exact,
-and the fourteen moments come out of one stacked reduction over it.
+Every covariance here is S M S: S = diag(sigma_x, 1/sigma_x, sigma_y,
+1/sigma_y) carries the squeezing, and M, the matrix in matched coordinates,
+is of order one at every width.  S is local and symplectic, so S M S has
+the spectra and E_N of M (Adesso & Illuminati, J. Phys. A 40, 7821 (2007)):
+the gates and spectra run on M, and ``_squeezed`` forms S M S for printing.
+The state's M depends on (m, sign) alone, so the oracle routes integrate it
+at unit widths, once per (route, m, sign), on the Hermite lattice of order
+m + 2 per axis, which is exact for every moment integrand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,10 +87,8 @@ class CovarianceMatrix:
     def require_physical(self) -> None:
         """Uncertainty check: both physical symplectic eigenvalues >= 1/2.
 
-        float64 caveat: the determinant of strongly squeezed covariances
-        (entries beyond ~e^4) is conditioned like |Sigma|^4 / det Sigma, so
-        genuinely physical matrices can fail the slack once squeezing
-        pushes past roughly 2.5 in either mode.
+        det Sigma is conditioned like |Sigma|^4 / det Sigma, so a physical but
+        strongly squeezed Sigma can fail the slack; M, of order one, cannot.
         """
         nu = symplectic_eigen_physical(self)
         if min(nu) < 0.5 - PHYSICALITY_SLACK:
@@ -198,109 +201,106 @@ def _assemble(entries: dict[str, float]) -> CovarianceMatrix:
 
 
 def _wavefunction_entries(params: QevParams) -> dict[str, float]:
-    """First and second moments directly from psi on the minimal exact lattice.
+    """First and second moments from psi at unit widths on the minimal exact lattice.
 
     Position moments come from |psi|^2, momentum moments from the analytic
     gradient: <p_u^2> = int |d_u psi|^2, symmetrized <u p_u> = Im int
-    conj(psi) u d_u psi, <u p_v> = Im int conj(psi) u d_v psi, and
-    <p_x p_y> = Re int conj(d_x psi) d_y psi.  With x = sigma_x t and
-    y = sigma_y s every integrand is e^{-t^2-s^2} times a polynomial of
-    degree at most 2m + 2 per axis, so order m + 2 is exact (m + 1 is not).
+    conj(psi) u d_u psi, <u p_v> = Im int conj(psi) u d_v psi, <p_x p_y> =
+    Re int conj(d_x psi) d_y psi.  Each integrand is e^{-x^2-y^2} times a
+    polynomial of degree <= 2m + 2 per axis: order m + 2 is exact, m + 1 not.
     """
-    (t, s), w2 = _lattice(params.m + 2, 2)
-    sx, sy = params.sigma_x, params.sigma_y
-    x, y = sx * t, sy * s
-    # psi carries the Gaussian the weights already hold: undo it (jacobian sx*sy)
-    w2 = (w2 * np.exp(t * t + s * s) * (sx * sy)).ravel()
-
+    (x, y), w2 = _lattice(params.m + 2, 2)
+    # psi carries the Gaussian the weights already hold: undo it
+    w2 = (w2 * np.exp(x * x + y * y)).ravel()
     value = psi(params, x, y)
     dx, dy = psi_gradient(params, x, y)
     dens = (value.conjugate() * value).real
     cx, cy = value.conjugate() * dx, value.conjugate() * dy
     integrands = {
-        "xx": dens * x * x,
-        "yy": dens * y * y,
-        "xy": dens * x * y,
-        "pxpx": (dx.conjugate() * dx).real,
-        "pypy": (dy.conjugate() * dy).real,
+        "xx": dens * x * x, "yy": dens * y * y, "xy": dens * x * y,
+        "pxpx": (dx.conjugate() * dx).real, "pypy": (dy.conjugate() * dy).real,
         "pxpy": (dx.conjugate() * dy).real,
-        "xpx": (cx * x).imag,
-        "ypy": (cy * y).imag,
-        "xpy": (cy * x).imag,
-        "ypx": (cx * y).imag,
-        "x": dens * x,
-        "y": dens * y,
-        "p_x": cx.imag,
-        "p_y": cy.imag,
+        "xpx": (cx * x).imag, "ypy": (cy * y).imag, "xpy": (cy * x).imag, "ypx": (cx * y).imag,
+        "x": dens * x, "y": dens * y, "p_x": cx.imag, "p_y": cy.imag,
     }
     # one reduction for all fourteen: a (14, k^2) matrix times the weights
     totals = np.stack(list(integrands.values())).reshape(len(integrands), -1) @ w2
     return dict(zip(integrands, totals.tolist()))
 
 
-def second_moments(params: QevParams, method: str = "wavefunction") -> CovarianceMatrix:
-    """Covariance matrix of the (unit-normalized) state.
-
-    ``wavefunction`` integrates psi directly; ``wigner4d`` integrates the
-    state's Wigner function against the quadratic observables.  Both are
-    exact lattice sums; the test suite pins their agreement to relative 1e-5.
-
-    Raises NumericError when the result violates the uncertainty bound.
-    """
-    if method == "wavefunction":
-        entries = _wavefunction_entries(params)
-    elif method == "wigner4d":
-        entries = oracle_covariance_entries(params)
-    else:
-        raise ConfigError(f"unknown moment method {method!r}")
+@lru_cache(maxsize=256)
+def _unit_covariance(route, m: int, sign: int) -> CovarianceMatrix:
+    """The state's M: one moment route's covariance at unit widths."""
+    entries = route(QevParams(m, 0.0, 0.0, sign))
     first = [entries[k] for k in ("x", "y", "p_x", "p_y")]
     if max(abs(v) for v in first) > FIRST_MOMENT_TOL:
         raise NumericError(f"first moments did not vanish: {first}")
-    cov = _assemble(entries)
-    nu = symplectic_eigen_physical(cov)
-    if min(nu) < 0.5 - 1e-6:
-        raise NumericError(
-            f"unphysical covariance from {method}: symplectic eigenvalue {min(nu):.9g} < 1/2"
-        )
-    return cov
+    return _assemble(entries)
+
+
+def _squeezed(unit: CovarianceMatrix, params: QevParams) -> CovarianceMatrix:
+    """S M S with S = diag(sigma_x, 1/sigma_x, sigma_y, 1/sigma_y)."""
+    sx, sy = params.sigma_x, params.sigma_y
+    scale = np.array([sx, 1.0 / sx, sy, 1.0 / sy])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = scale[:, None] * unit.sigma * scale[None, :]
+    if not np.isfinite(mat).all():
+        raise NumericError(f"covariance S M S leaves float range at widths sigma_x = {sx!r}, sigma_y = {sy!r}")
+    return CovarianceMatrix(sigma=mat)
+
+
+def second_moments(params: QevParams, method: str = "wavefunction") -> CovarianceMatrix:
+    """Covariance matrix S M S of the (unit-normalized) state.
+
+    M comes from one exact route at unit widths: ``wavefunction`` integrates
+    psi, ``wigner4d`` the state's Wigner function against the quadratic
+    observables; the test suite pins the two to relative 1e-5.  Raises
+    NumericError when M's first moments do not vanish or S M S leaves float
+    range.
+    """
+    if method == "wavefunction":
+        route = _wavefunction_entries
+    elif method == "wigner4d":
+        route = oracle_covariance_entries
+    else:
+        raise ConfigError(f"unknown moment method {method!r}")
+    return _squeezed(_unit_covariance(route, params.m, params.sign), params)
+
+
+def _closed_form_unit(params: QevParams) -> CovarianceMatrix:
+    c, rho = _eta_coefficients(params)
+    tilt = params.m / (rho - 1.0) if params.m else 0.0
+    c = c[[0, 2, 1, 3]]  # (x, y, p_x, p_y) -> (x, p_x, y, p_y)
+    return CovarianceMatrix(sigma=0.5 * np.eye(4) + tilt * np.outer(c, c))
 
 
 def closed_form_second_moments(params: QevParams) -> CovarianceMatrix:
-    """Covariance of the literal closed-form distribution (no physicality gate).
+    """Covariance S M S of the literal closed-form distribution (no physicality gate).
 
     In matched coordinates (t_x, t_y, t_px, t_py) the distribution is
     e^{-|t|^2} L_m^{-1/2}((c . t)^2) up to its constant, with zero first
-    moments and covariance I/2 + (m / (rho - 1)) c c^T, rho = c . c.  The
-    physical covariance is S M S with S = diag(sigma_x, sigma_y,
-    1/sigma_x, 1/sigma_y), reordered to (x, p_x, y, p_y).
-
-    This is the distribution being adjudicated, not the state, so the
-    uncertainty bound is *checked by the caller* where required rather than
-    enforced here.
+    moments and covariance M = I/2 + (m / (rho - 1)) c c^T, rho = c . c,
+    reordered to (x, p_x, y, p_y); unlike the state's M it depends on the
+    widths, through c.  This is the distribution being adjudicated, not the
+    state, so the uncertainty bound is *checked by the caller* where required.
     """
-    c, rho = _eta_coefficients(params)
-    tilt = params.m / (rho - 1.0) if params.m else 0.0
-    matched = 0.5 * np.eye(4) + tilt * np.outer(c, c)
-    scale = np.array([params.sigma_x, params.sigma_y, 1.0 / params.sigma_x, 1.0 / params.sigma_y])
-    order = [0, 2, 1, 3]  # (x, y, p_x, p_y) -> (x, p_x, y, p_y)
-    return CovarianceMatrix(sigma=(scale[:, None] * matched * scale[None, :])[np.ix_(order, order)])
+    return _squeezed(_closed_form_unit(params), params)
 
 
 def entanglement_of(params: QevParams, pipeline: str = "oracle") -> tuple[CovarianceMatrix, EntanglementReport]:
-    """Covariance + report for one state through the selected pipeline.
+    """Covariance S M S, and the report on M, for one state through a pipeline.
 
-    ``oracle`` builds the covariance from the state itself (wavefunction
-    moments); ``closed-form`` builds it from the literal closed-form
-    distribution, exactly.
+    ``oracle`` builds M from the state itself (wavefunction moments);
+    ``closed-form`` from the literal closed-form distribution, exactly.
     """
     notes = (GAUSSIAN_APPROX_NOTE,) if params.m > 0 else ()
     if pipeline == "oracle":
-        cov = second_moments(params, method="wavefunction")
+        unit = _unit_covariance(_wavefunction_entries, params.m, params.sign)
     elif pipeline == "closed-form":
-        cov = closed_form_second_moments(params)
+        unit = _closed_form_unit(params)
     else:
         raise ConfigError(f"unknown pipeline {pipeline!r}")
-    return cov, log_negativity(cov, pipeline=pipeline, notes=notes)
+    return _squeezed(unit, params), log_negativity(unit, pipeline=pipeline, notes=notes)
 
 
 def tmsv_covariance(r: float) -> CovarianceMatrix:

@@ -392,7 +392,7 @@ class TestSweep:
 # sets wrong and a flag corrects); "OUT" stands for a file in the run's folder
 _CONFIG_CASES = {
     "slice": ({"m": "2", "sigma-x": "5", "sigma-y": "3", "sign": "-1", "plane": "xpx", "n": "17",
-               "pipeline": "oracle", "format": "pgm", "quad-order": "12", "threads": "2", "out": "OUT"},
+               "pipeline": "oracle", "format": "pgm", "threads": "2", "out": "OUT"},
               ("n", "33")),
     "validate": ({"m": "0", "zeta-x": "0.3", "zeta-y": "-0.2", "n-points": "12", "seed": "4",
                   "tol": "1e-5", "abs-floor": "1e-11", "out": "OUT"},
@@ -441,7 +441,6 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("line, message", [
         ("m=one", "argument --m: invalid int value: 'one'"),
         ("threads=0", "argument --threads: must be >= 1"),
-        ("quad-order=many", "argument --quad-order: invalid int value: 'many'"),
         ("plane=zz", "--plane must be one of"),
     ])
     def test_bad_config_value_exits_1(self, tmp_path, capsys, line, message):
@@ -452,6 +451,14 @@ class TestConfigPrecedence:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_quad_order_retired(self, tmp_path, capsys):
+        # a config key that names no flag is ignored; the flag itself is gone
+        flags = {"m": "1", "sigma-x": "5", "sigma-y": "3"}
+        plain = _run_with(tmp_path / "plain", "entangle", {}, flags, capsys)
+        assert plain[0] == 0
+        assert _run_with(tmp_path / "keyed", "entangle", {"quad-order": "many"}, flags, capsys) == plain
+        assert main(["entangle", "--m", "1", "--sigma-x", "5", "--sigma-y", "3", "--quad-order", "64"]) == 1
+        assert "unrecognized arguments: --quad-order 64" in capsys.readouterr().err
 
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -471,10 +478,10 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("command", ["slice", "validate", "entangle", "sweep", "selftest"])
     def test_shared_flags_validated_everywhere(self, tmp_path, command):
-        # --threads and --quad-order change no value but stay validated
+        # --threads changes no value but stays validated, as flag and as key
         assert main([command, "--threads", "0"]) == 1
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("quad-order=many\n")
+        cfg.write_text("threads=0\n")
         assert main([command, "--config", str(cfg)]) == 1
 
 
@@ -488,13 +495,19 @@ class TestArithmeticFailure:
     def test_overflow_exits_2(self, tmp_path, capsys, argv):
         # widths whose squares, or powers, leave float64 range overflow or
         # divide by zero inside float arithmetic; the CLI reports that as a
-        # numeric failure
+        # numeric failure, and entangle names the widths that overflow S M S
         argv = [str(tmp_path / "F") if a == "F" else a for a in argv]
-        assert main(argv) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numeric failure: OverflowError: ") or err.startswith(
-            "numeric failure: ZeroDivisionError: "
-        )
+        if argv[0] == "entangle":
+            assert err.startswith("numeric failure: covariance S M S leaves float range at widths sigma_x = ")
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        else:
+            assert err.startswith("numeric failure: OverflowError: ") or err.startswith(
+                "numeric failure: ZeroDivisionError: "
+            )
 
 
     @pytest.mark.parametrize("argv", [

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from qev import entanglement
+from qev.cli import main
 from qev.entanglement import (
     GAUSSIAN_APPROX_NOTE,
     CovarianceMatrix,
@@ -20,6 +22,7 @@ from qev.entanglement import (
 from qev.errors import ConfigError, NumericError
 from qev.numerics import gauss_hermite_rule, laguerre_assoc_half
 from qev.state import QevParams, psi, psi_gradient
+from qev.sweep import SweepConfig
 from qev.wigner import alp_argument
 
 SIGMA_GRID = (0.5, 1.0, 3.0, 5.0)
@@ -198,6 +201,16 @@ class TestSecondMoments:
                     if m >= 1:
                         assert np.max(np.abs(self._lattice_moments(p, m + 1) - want)) > 1e-6 * scale
 
+    @pytest.mark.parametrize("route, method", [
+        ("_wavefunction_entries", "wavefunction"), ("oracle_covariance_entries", "wigner4d"),
+    ])
+    def test_first_moment_gate_bites_at_unit_scale(self, monkeypatch, route, method):
+        # M is of order one, so a first moment of 1e-9 is a fault, not roundoff
+        original = getattr(entanglement, route)
+        monkeypatch.setattr(entanglement, route, lambda params: {**original(params), "p_x": 1e-9})
+        with pytest.raises(NumericError, match="first moments did not vanish"):
+            second_moments(QevParams.from_sigma(2, 5.0, 3.0), method=method)
+
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             second_moments(QevParams.from_sigma(0, 1.0, 1.0), method="fft")
@@ -256,3 +269,30 @@ class TestPipelines:
             want = math.sqrt(2 * m + 1) / 2
             assert nu[0] == pytest.approx(want, rel=1e-9)
             assert nu[1] == pytest.approx(want, rel=1e-9)
+
+
+class TestDeepSqueezing:
+    def test_oracle_answers_at_every_legal_width(self, tmp_path, capsys):
+        # the oracle pipeline reads the spectra off the unit-width M, so deep
+        # squeezing changes only the printed S M S
+        rng = np.random.default_rng(20261022)
+        for c1 in (0.5, 1.0):  # the zeta and sigma-proportional relations
+            for zeta_x in [-12.0, 6.0] + rng.uniform(-12.0, 6.0, 4).tolist():
+                for m in range(9):
+                    for sign in (1, -1):
+                        p = SweepConfig(c1=c1, sign=sign).params_at(zeta_x, m)
+                        cov, rep = entanglement_of(p, pipeline="oracle")
+                        assert np.all(np.isfinite(cov.sigma))
+                        assert cov.sigma[0, 0] == pytest.approx(p.sigma_x**2 * (m + 1) / 2, rel=1e-12)
+                        assert rep.log_negativity == 0.0
+                        want = math.sqrt(2 * m + 1) / 2
+                        assert abs(rep.nu_plus - want) <= 1e-12 and abs(rep.nu_minus - want) <= 1e-12
+        for m in (1, 3, 8, 12, 20):
+            for zx, zy in (("-12", "0.4"), ("-30", "0"), ("40", "-40"), ("150", "0")):
+                assert main(["entangle", "--m", str(m), "--zeta-x", zx, "--zeta-y", zy]) == 0
+                assert "log_negativity=0.000000000000e+00" in capsys.readouterr().out
+        out = tmp_path / "deep.csv"
+        argv = ["sweep", "--pipeline", "oracle", "--zeta-min", "-12", "--zeta-max", "-6", "--steps", "7"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines() if line.startswith("-")]
+        assert len(rows) == 7 and all(float(v) == 0.0 for row in rows for v in row[2:])

@@ -27,6 +27,8 @@ def test_zero_tol_scale_fails_every_row():
 
 @pytest.mark.parametrize("route", ["_wavefunction_entries", "oracle_covariance_entries"])
 def test_nudged_moment_route_fails_the_svs_row(monkeypatch, route):
+    row = next(row for row in selftest.CHECKS if row[0].startswith("covariance = S V S"))
+    row[2]()  # the memoised unit-width covariances are warm before the patch
     original = getattr(entanglement, route)
 
     def nudged(params):
@@ -35,7 +37,6 @@ def test_nudged_moment_route_fails_the_svs_row(monkeypatch, route):
         return entries
 
     monkeypatch.setattr(entanglement, route, nudged)
-    row = next(row for row in selftest.CHECKS if row[0].startswith("covariance = S V S"))
     monkeypatch.setattr(selftest, "CHECKS", [row])
     buffer = io.StringIO()
     assert selftest.run_selftest(stream=buffer) == 3
